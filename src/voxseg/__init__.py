@@ -17,7 +17,6 @@ Entry points by stage:
 """
 
 from voxseg.attraction import (AttractionParams, ShellTable,
-                               attraction_distance_2d, attraction_distance_3d,
                                attraction_distances, build_shell_table,
                                decay_weights, ifcm_step, neighborhood_2d,
                                plane_context, slice_context)
@@ -46,7 +45,7 @@ __all__ = [
     "GaConfig", "LabelVolume", "NoiseSpec", "OptResult", "PhantomSpec",
     "PsoConfig", "SegmentationResult", "ShellTable", "SliceRef",
     "UndefinedMetricError", "ValidationError", "Volume", "add_noise",
-    "attraction_distance_2d", "attraction_distance_3d", "attraction_distances",
+    "attraction_distances",
     "build_shell_table", "check_membership", "decay_weights",
     "default_intensities", "defuzzify", "error_counts", "evaluate_labels",
     "extract_slice", "fcm", "ga_ifcm", "ga_minimize", "generate_phantom",

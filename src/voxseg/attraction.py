@@ -15,7 +15,8 @@ are grouped into concentric shells that reach into adjacent slices of
 the parent volume; per-shell averages are blended with exponentially
 decaying weights.  Neighbourhoods are clipped at the volume boundary
 (no padding); a shell clipped away entirely hands its weight to the
-surviving shells.
+surviving shells.  The 2-D case is the one-shell, dz = 0 case of the 3-D
+one, so both run through the same context and accumulation loop.
 """
 
 from __future__ import annotations
@@ -141,24 +142,62 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-class PlaneContext:
-    """Neighbourhood bookkeeping for clustering one 2-D image."""
+class NeighbourContext:
+    """Neighbourhood bookkeeping for clustering plane ``z`` of a plane stack.
 
-    def __init__(self, plane: np.ndarray, level: int = 2,
-                 label_dims: tuple[int, int, int] | None = None,
-                 unit_axis: int = 2, intensity_max: float | None = None):
-        plane = np.asarray(plane, dtype=np.float64)
-        if plane.ndim != 2:
-            raise ValidationError(f"plane must be 2-D, got shape {plane.shape}")
-        self.plane = plane
-        self.shape = plane.shape
-        self.offsets = neighborhood_2d(level)
-        self.data = plane.ravel(order="F")
-        self.unit_axis = unit_axis
-        if label_dims is None:
-            label_dims = (plane.shape[0], plane.shape[1], 1)
+    The clustering state covers plane z; neighbours in other planes of
+    the stack contribute their intensities directly and their memberships
+    through the plain membership update against the current centers.
+    Everything that does not depend on memberships - the in-bounds
+    windows of each offset, q^2, each shell's contrast and proximity
+    denominators and the renormaliser over the shells that reach each
+    voxel - is built once here, so each :meth:`attraction_terms` call only
+    gathers membership votes.
+    """
+
+    def __init__(self, grid: np.ndarray, z: int, shells, weights,
+                 label_dims: tuple[int, int, int], unit_axis: int,
+                 intensity_max: float | None):
+        self.grid = grid
+        self.z = z
+        self.plane = grid[:, :, z]
+        self.shape = self.plane.shape
+        self.data = self.plane.ravel(order="F")
+        self.offsets = np.concatenate(shells)
         self.label_dims = label_dims
+        self.unit_axis = unit_axis
         self.intensity_max = intensity_max
+        nx, ny = self.shape
+        self._shells = []
+        planes = set()
+        weight_present = np.zeros((nx, ny))
+        for w, shell in zip(weights, shells):
+            entries = []
+            contrast_sum = np.zeros((nx, ny))
+            prox_sum = np.zeros((nx, ny))
+            reached = np.zeros((nx, ny), dtype=bool)
+            for dx, dy, dz in shell:
+                zk = z + int(dz)
+                win = _windows(nx, ny, int(dx), int(dy))
+                if not 0 <= zk < grid.shape[2] or win is None:
+                    continue
+                target, source = win
+                q2 = float(dx * dx + dy * dy + dz * dz) ** 2
+                contrast_sum[target] += self._contrast(target, source, zk)
+                prox_sum[target] += q2
+                reached[target] = True
+                entries.append((target, source, zk, q2))
+                planes.add(zk)
+            self._shells.append((w, entries, contrast_sum, prox_sum))
+            weight_present += w * reached
+        # shells clipped away at the boundary hand their weight to the rest;
+        # a voxel no shell reaches has zero votes, and dividing by one keeps them
+        self._renorm = np.where(weight_present > 0, weight_present, 1.0)[..., None]
+        self._other_planes = sorted(planes - {z})
+
+    def _contrast(self, target, source, zk: int) -> np.ndarray:
+        """g = |x_i - x_k| over ``target`` for the neighbours at ``source`` of plane zk."""
+        return np.abs(self.plane[target] - self.grid[source[0], source[1], zk])
 
     def labels_volume(self, labels_flat: np.ndarray) -> LabelVolume:
         grid = labels_flat.reshape(self.shape, order="F").astype(np.uint8)
@@ -166,120 +205,7 @@ class PlaneContext:
 
     def attraction_terms(self, u: np.ndarray, centers: np.ndarray,
                          fuzziness: float) -> tuple[np.ndarray, np.ndarray]:
-        nx, ny = self.shape
-        c = len(np.asarray(centers).ravel())
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (nx * ny, c):
-            raise ValidationError(f"membership shape {u.shape} does not match "
-                                  f"{nx * ny} voxels x {c} clusters")
-        ug = u.reshape(nx, ny, c, order="F")
-        contrast_sum = np.zeros((nx, ny))
-        contrast_vote = np.zeros((nx, ny, c))
-        prox_sum = np.zeros((nx, ny))
-        prox_vote = np.zeros((nx, ny, c))
-        for dx, dy in self.offsets:
-            win = _windows(nx, ny, int(dx), int(dy))
-            if win is None:
-                continue
-            target, source = win
-            g = np.abs(self.plane[target] - self.plane[source])
-            q2 = float(dx * dx + dy * dy) ** 2
-            nb = ug[source]
-            contrast_sum[target] += g
-            contrast_vote[target] += nb * g[..., None]
-            prox_sum[target] += q2
-            prox_vote[target] += nb ** 2 * q2
-        h = _ratio(contrast_vote, contrast_sum)
-        f = _ratio(prox_vote, prox_sum)
-        return (h.reshape(nx * ny, c, order="F"),
-                f.reshape(nx * ny, c, order="F"))
-
-
-class SliceContext:
-    """Neighbourhood bookkeeping for one slice segmented inside its volume.
-
-    The clustering state covers the slice itself; neighbours in adjacent
-    slices contribute their intensities directly and their memberships
-    through the plain membership update against the current centers.
-    """
-
-    def __init__(self, vol: Volume, ref: SliceRef, depth: int = 3, decay: float = 1.1):
-        axis = AXES[ref.axis]
-        if not 0 <= ref.index < vol.dims[axis]:
-            raise IndexError(f"slice {ref.axis}:{ref.index} out of range for dims {vol.dims}")
-        self.grid = np.moveaxis(vol.data, axis, 2).astype(np.float64)
-        self.axis = axis
-        self.z = ref.index
-        self.plane = self.grid[:, :, self.z]
-        self.shape = self.plane.shape
-        self.data = self.plane.ravel(order="F")
-        self.table = build_shell_table(depth)
-        self.weights = decay_weights(decay, depth)
-        self.intensity_max = vol.intensity_max
-        dims = list(vol.dims)
-        dims[axis] = 1
-        self.label_dims = tuple(dims)
-
-    def labels_volume(self, labels_flat: np.ndarray) -> LabelVolume:
-        grid = labels_flat.reshape(self.shape, order="F").astype(np.uint8)
-        return LabelVolume(self.label_dims, np.moveaxis(grid[:, :, None], 2, self.axis))
-
-    def _derived_plane(self, zk: int, centers: np.ndarray, fuzziness: float) -> np.ndarray:
-        """Plain membership of plane zk against the given centers."""
-        nx, ny = self.shape
-        flat = self.grid[:, :, zk].ravel(order="F")
-        d2 = (flat[:, None] - centers) ** 2
-        return update_membership(d2, fuzziness).reshape(nx, ny, len(centers), order="F")
-
-    def _terms_at(self, z_target: int, lookup, centers: np.ndarray,
-                  fuzziness: float) -> tuple[np.ndarray, np.ndarray]:
-        """Blended contrast / proximity terms for the plane at z_target.
-
-        ``lookup(zk)`` must return the membership grid of any in-bounds
-        plane; shells clipped at the volume boundary hand their weight to
-        the shells that survive.
-        """
-        nx, ny = self.shape
-        nz = self.grid.shape[2]
-        c = centers.size
-        tgt_plane = self.grid[:, :, z_target]
-        h = np.zeros((nx, ny, c))
-        f = np.zeros((nx, ny, c))
-        weight_present = np.zeros((nx, ny))
-        for w, shell in zip(self.weights, self.table.shells):
-            contrast_sum = np.zeros((nx, ny))
-            contrast_vote = np.zeros((nx, ny, c))
-            prox_sum = np.zeros((nx, ny))
-            prox_vote = np.zeros((nx, ny, c))
-            reached = np.zeros((nx, ny), dtype=bool)
-            for dx, dy, dz in shell:
-                zk = z_target + int(dz)
-                if not 0 <= zk < nz:
-                    continue
-                win = _windows(nx, ny, int(dx), int(dy))
-                if win is None:
-                    continue
-                target, source = win
-                g = np.abs(tgt_plane[target] - self.grid[source[0], source[1], zk])
-                q2 = float(dx * dx + dy * dy + dz * dz) ** 2
-                nb = lookup(zk)[source]
-                contrast_sum[target] += g
-                contrast_vote[target] += nb * g[..., None]
-                prox_sum[target] += q2
-                prox_vote[target] += nb ** 2 * q2
-                reached[target] = True
-            h += w * _ratio(contrast_vote, contrast_sum)
-            f += w * _ratio(prox_vote, prox_sum)
-            weight_present += w * reached
-        # renormalise over the shells that actually reached each voxel
-        ok = weight_present > 0
-        denom = np.where(ok, weight_present, 1.0)[..., None]
-        h = np.where(ok[..., None], h / denom, 0.0)
-        f = np.where(ok[..., None], f / denom, 0.0)
-        return np.clip(h, 0.0, 1.0), np.clip(f, 0.0, 1.0)
-
-    def attraction_terms(self, u: np.ndarray, centers: np.ndarray,
-                         fuzziness: float) -> tuple[np.ndarray, np.ndarray]:
+        """Blended contrast (H) and proximity (F) terms, each (n, c)."""
         nx, ny = self.shape
         centers = np.asarray(centers, dtype=np.float64).ravel()
         c = centers.size
@@ -287,19 +213,56 @@ class SliceContext:
         if u.shape != (nx * ny, c):
             raise ValidationError(f"membership shape {u.shape} does not match "
                                   f"{nx * ny} voxels x {c} clusters")
-        u_grid = u.reshape(nx, ny, c, order="F")
-        cache: dict[int, np.ndarray] = {}
-
-        def lookup(zk: int) -> np.ndarray:
-            if zk == self.z:
-                return u_grid
-            if zk not in cache:
-                cache[zk] = self._derived_plane(zk, centers, fuzziness)
-            return cache[zk]
-
-        h, f = self._terms_at(self.z, lookup, centers, fuzziness)
+        members = {self.z: u.reshape(nx, ny, c, order="F")}
+        for zk in self._other_planes:
+            d2 = (self.grid[:, :, zk].ravel(order="F")[:, None] - centers) ** 2
+            members[zk] = update_membership(d2, fuzziness).reshape(nx, ny, c, order="F")
+        h = f = 0.0
+        for w, entries, contrast_sum, prox_sum in self._shells:
+            contrast_vote = np.zeros((nx, ny, c))
+            prox_vote = np.zeros((nx, ny, c))
+            for target, source, zk, q2 in entries:
+                nb = members[zk][source]
+                contrast_vote[target] += nb * self._contrast(target, source, zk)[..., None]
+                prox_vote[target] += nb ** 2 * q2
+            h = h + w * _ratio(contrast_vote, contrast_sum)
+            f = f + w * _ratio(prox_vote, prox_sum)
+        h = np.clip(h / self._renorm, 0.0, 1.0)
+        f = np.clip(f / self._renorm, 0.0, 1.0)
         return (h.reshape(nx * ny, c, order="F"),
                 f.reshape(nx * ny, c, order="F"))
+
+
+class PlaneContext(NeighbourContext):
+    """Context for one 2-D image: a one-plane stack with a single shell,
+    the level's in-plane offsets at dz = 0."""
+
+    def __init__(self, plane: np.ndarray, level: int = 2,
+                 label_dims: tuple[int, int, int] | None = None,
+                 unit_axis: int = 2, intensity_max: float | None = None):
+        plane = np.asarray(plane, dtype=np.float64)
+        if plane.ndim != 2:
+            raise ValidationError(f"plane must be 2-D, got shape {plane.shape}")
+        flat = neighborhood_2d(level)
+        shell = np.column_stack([flat, np.zeros(len(flat), dtype=np.intp)])
+        super().__init__(plane[:, :, None], 0, (shell,), (1.0,),
+                         label_dims or (plane.shape[0], plane.shape[1], 1),
+                         unit_axis, intensity_max)
+
+
+class SliceContext(NeighbourContext):
+    """Context for one slice segmented inside its volume, with concentric
+    shells reaching into the adjacent slices."""
+
+    def __init__(self, vol: Volume, ref: SliceRef, depth: int = 3, decay: float = 1.1):
+        axis = AXES[ref.axis]
+        if not 0 <= ref.index < vol.dims[axis]:
+            raise IndexError(f"slice {ref.axis}:{ref.index} out of range for dims {vol.dims}")
+        dims = list(vol.dims)
+        dims[axis] = 1
+        super().__init__(np.moveaxis(vol.data, axis, 2).astype(np.float64), ref.index,
+                         build_shell_table(depth).shells, decay_weights(decay, depth),
+                         tuple(dims), axis, vol.intensity_max)
 
 
 def plane_context(img: Volume | np.ndarray, level: int = 2) -> PlaneContext:
@@ -325,26 +288,6 @@ def attraction_distances(ctx, u: np.ndarray, centers: np.ndarray,
     base = (ctx.data[:, None] - centers) ** 2
     factor = np.maximum(1.0 - feature_weight * h - spatial_weight * f, FACTOR_FLOOR)
     return base * factor
-
-
-def attraction_distance_2d(i: int, j: int, plane: np.ndarray, u: np.ndarray,
-                           centers: np.ndarray, params: AttractionParams,
-                           fuzziness: float = 2.0) -> float:
-    """Scalar 2-D attraction distance for voxel i, cluster j."""
-    ctx = plane_context(plane, params.level)
-    d2 = attraction_distances(ctx, u, centers, fuzziness,
-                              params.feature_weight, params.spatial_weight)
-    return float(d2[i, j])
-
-
-def attraction_distance_3d(i: int, j: int, vol: Volume, ref: SliceRef,
-                           u: np.ndarray, centers: np.ndarray,
-                           params: AttractionParams, fuzziness: float = 2.0) -> float:
-    """Scalar 3-D attraction distance for slice voxel i, cluster j."""
-    ctx = slice_context(vol, ref, params.depth, params.decay)
-    d2 = attraction_distances(ctx, u, centers, fuzziness,
-                              params.feature_weight, params.spatial_weight)
-    return float(d2[i, j])
 
 
 def ifcm_step(ctx, u: np.ndarray, centers: np.ndarray, params: AttractionParams,

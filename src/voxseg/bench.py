@@ -18,16 +18,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from voxseg.attraction import AttractionParams
-from voxseg.errors import ValidationError
-from voxseg.fcm import FcmConfig, gmm_fcm
-from voxseg.metrics import defuzzify, evaluate_labels, relative_improvement
+from voxseg.errors import UndefinedMetricError, ValidationError
+from voxseg.fcm import FcmConfig
+from voxseg.metrics import evaluate_labels, relative_improvement
 from voxseg.noise import NoiseSpec, add_noise
 from voxseg.optimize import GaConfig, PsoConfig
 from voxseg.phantom import PhantomSpec, generate_phantom
-from voxseg.pipelines import ga_ifcm, ifcm, pso_ifcm, pso_ifcm_3d
+from voxseg.pipelines import ALGORITHMS, segment
 from voxseg.volume import SliceRef, extract_slice, load_labels, load_volume
-
-ALGORITHMS = ("fcm", "ifcm", "ifcmpso", "gaifcm", "3dpifcm")
 
 REPORT_COLUMNS = ("algorithm", "noise_kind", "noise_percent", "seed", "cluster",
                   "UnS", "OS", "IncS", "lambda", "xi", "h", "v",
@@ -88,6 +86,10 @@ class BenchConfig:
     def fcm_config(self) -> FcmConfig:
         return FcmConfig(self.fuzziness, self.tolerance, self.max_iterations)
 
+    def attraction_params(self) -> AttractionParams:
+        return AttractionParams(self.feature_weight, self.spatial_weight,
+                                self.level, self.depth, self.decay)
+
     def pso_config(self, seed: int) -> PsoConfig:
         return PsoConfig(swarm_size=self.swarm_size, omega=self.omega,
                          phip=self.phip, phig=self.phig, max_iter=self.pso_max_iter,
@@ -112,43 +114,6 @@ def _source(cfg: BenchConfig):
     return vol, truth
 
 
-def _segment(cfg: BenchConfig, algorithm: str, noisy, ref: SliceRef, seed: int):
-    fcm_cfg = cfg.fcm_config()
-    if algorithm == "fcm":
-        fit = gmm_fcm(extract_slice(noisy, ref), cfg.cluster_count, fcm_cfg)
-        labels = defuzzify(fit.membership, extract_slice(noisy, ref).dims)
-        return labels, {"iterations": fit.iterations, "lambda": "", "xi": "",
-                        "h": "", "v": ""}
-    if algorithm == "ifcm":
-        params = AttractionParams(feature_weight=cfg.feature_weight,
-                                  spatial_weight=cfg.spatial_weight, level=cfg.level)
-        plane = extract_slice(noisy, ref)
-        fit = gmm_fcm(plane, cfg.cluster_count, fcm_cfg)
-        result = ifcm(plane, params, init=(fit.membership, fit.centers), cfg=fcm_cfg)
-        return result.labels, {"iterations": result.iterations,
-                               "lambda": result.feature_weight, "xi": result.spatial_weight,
-                               "h": "", "v": ""}
-    if algorithm == "ifcmpso":
-        result = pso_ifcm(extract_slice(noisy, ref), cfg.cluster_count, fcm_cfg,
-                          AttractionParams(level=cfg.level), cfg.pso_config(seed),
-                          probe_steps=cfg.probe_steps)
-        return result.labels, {"iterations": result.iterations,
-                               "lambda": result.feature_weight, "xi": result.spatial_weight,
-                               "h": "", "v": ""}
-    if algorithm == "gaifcm":
-        result = ga_ifcm(extract_slice(noisy, ref), cfg.cluster_count, fcm_cfg,
-                         AttractionParams(level=cfg.level), cfg.ga_config(seed),
-                         probe_steps=cfg.probe_steps)
-        return result.labels, {"iterations": result.iterations,
-                               "lambda": result.feature_weight, "xi": result.spatial_weight,
-                               "h": "", "v": ""}
-    result = pso_ifcm_3d(noisy, ref, cfg.cluster_count, cfg.depth, cfg.decay,
-                         fcm_cfg, cfg.pso_config(seed), probe_steps=cfg.probe_steps)
-    return result.labels, {"iterations": result.iterations,
-                           "lambda": result.feature_weight, "xi": result.spatial_weight,
-                           "h": cfg.decay, "v": cfg.depth}
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".10g")
@@ -165,8 +130,11 @@ def run_cell(cfg: BenchConfig, algorithm: str, kind: str, percent: float,
             "seed": seed, "lambda": "", "xi": "", "h": "", "v": "", "iterations": ""}
     try:
         noisy = add_noise(vol, NoiseSpec(kind, percent, seed))
-        labels, info = _segment(cfg, algorithm, noisy, ref, seed)
-        scores = evaluate_labels(labels, extract_slice(truth, ref),
+        # the fixed weights reach ifcm only: the tuned algorithms search
+        result = segment(algorithm, noisy, ref, cfg.cluster_count, cfg.fcm_config(),
+                         cfg.attraction_params(), cfg.pso_config(seed),
+                         cfg.ga_config(seed), probe_steps=cfg.probe_steps)
+        scores = evaluate_labels(result.labels, extract_slice(truth, ref),
                                  cfg.cluster_count, cfg.literal_incs)
     except Exception as exc:  # keep the sweep alive; the row records why
         row = dict(base)
@@ -175,6 +143,11 @@ def run_cell(cfg: BenchConfig, algorithm: str, kind: str, percent: float,
                     "status": f"error: {exc}"})
         return [row]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    info = {"iterations": result.iterations}
+    if result.feature_weight is not None:
+        info.update({"lambda": result.feature_weight, "xi": result.spatial_weight})
+    if algorithm == "3dpifcm":
+        info.update({"h": cfg.decay, "v": cfg.depth})
     base.update({k: _fmt(v) if isinstance(v, float) else v for k, v in info.items()})
     rows = []
     if cfg.per_cluster:
@@ -247,7 +220,7 @@ def comparison_rows(cfg: BenchConfig, rows: list[dict]) -> list[dict]:
                     continue
                 try:
                     gain = _fmt(relative_improvement(other, ours))
-                except Exception:
+                except UndefinedMetricError:
                     gain = ""
                 out.append({"algorithm_a": algorithm, "noise_kind": kind,
                             "noise_percent": _fmt(float(percent)),

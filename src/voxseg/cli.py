@@ -21,17 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from voxseg.attraction import AttractionParams
 from voxseg.bench import (ALGORITHMS, COMPARISON_COLUMNS, REPORT_COLUMNS,
-                          SWEEP_COLUMNS, BenchConfig, resolve_slice,
-                          run_benchmark, run_sweep, write_csv)
+                          SWEEP_COLUMNS, BenchConfig, run_benchmark, run_sweep,
+                          write_csv)
 from voxseg.errors import ValidationError
-from voxseg.fcm import FcmConfig, gmm_fcm
-from voxseg.metrics import defuzzify, evaluate_labels
+from voxseg.metrics import evaluate_labels
 from voxseg.noise import KINDS, NoiseSpec, add_noise
-from voxseg.optimize import GaConfig, PsoConfig
 from voxseg.phantom import PhantomSpec, generate_phantom
-from voxseg.pipelines import ga_ifcm, ifcm, pso_ifcm, pso_ifcm_3d
+from voxseg.pipelines import segment
 from voxseg.volume import (SliceRef, Volume, extract_slice, load_labels,
                            load_volume, save_volume, write_pgm)
 
@@ -105,10 +102,15 @@ def _attraction_flags(parser):
                         help="shell weight decay (default 1.1)")
     parser.add_argument("--lam", "--feature-weight", dest="feature_weight",
                         type=float, default=None,
-                        help="intensity attraction weight in [0, 1]")
+                        help="intensity attraction weight in [0, 1], given with "
+                             "--xi. segment: ifcm runs at it (default 0.5) and "
+                             "ifcmpso/gaifcm/3dpifcm run at it instead of "
+                             "searching. bench/sweep: only ifcm uses it "
+                             "(default 0.5); the tuned algorithms always search")
     parser.add_argument("--xi", "--spatial-weight", dest="spatial_weight",
                         type=float, default=None,
-                        help="proximity attraction weight in [0, 1]")
+                        help="proximity attraction weight in [0, 1], given with "
+                             "--lam and used the same way")
 
 
 def _optimizer_flags(parser):
@@ -346,46 +348,6 @@ def _fixed_weights(args) -> tuple[float, float] | None:
     return (args.feature_weight, args.spatial_weight)
 
 
-def _segment_one(args, vol: Volume, ref: SliceRef):
-    cfg = FcmConfig(args.fuzziness, args.tolerance, args.max_iter)
-    plane = extract_slice(vol, ref)
-    fixed = _fixed_weights(args)
-    if args.algorithm == "fcm":
-        fit = gmm_fcm(plane, args.clusters, cfg)
-        labels = defuzzify(fit.membership, plane.dims)
-        return labels, fit.membership, fit.centers, fit.iterations, (None, None)
-    if args.algorithm == "ifcm":
-        weights = fixed if fixed is not None else (0.5, 0.5)
-        params = AttractionParams(feature_weight=weights[0],
-                                  spatial_weight=weights[1], level=args.level)
-        fit = gmm_fcm(plane, args.clusters, cfg)
-        res = ifcm(plane, params, init=(fit.membership, fit.centers), cfg=cfg)
-    elif args.algorithm == "ifcmpso":
-        res = pso_ifcm(plane, args.clusters, cfg, AttractionParams(level=args.level),
-                       _pso_config(args), fixed=fixed, probe_steps=args.probe_steps)
-    elif args.algorithm == "gaifcm":
-        res = ga_ifcm(plane, args.clusters, cfg, AttractionParams(level=args.level),
-                      _ga_config(args), fixed=fixed, probe_steps=args.probe_steps)
-    else:
-        res = pso_ifcm_3d(vol, ref, args.clusters, args.depth, args.decay, cfg,
-                          _pso_config(args), fixed=fixed, probe_steps=args.probe_steps)
-    return (res.labels, res.membership, res.centers, res.iterations,
-            (res.feature_weight, res.spatial_weight))
-
-
-def _pso_config(args) -> PsoConfig:
-    return PsoConfig(swarm_size=args.swarm, omega=args.omega, phip=args.phip,
-                     phig=args.phig, max_iter=args.opt_iters,
-                     minstep=args.minstep, minfunc=args.minfunc, seed=args.seed)
-
-
-def _ga_config(args) -> GaConfig:
-    return GaConfig(population=args.population, generations=args.opt_iters,
-                    crossover_rate=args.crossover, mutation_rate=args.mutation,
-                    mutation_sigma=args.mutation_sigma, minfunc=args.minfunc,
-                    seed=args.seed)
-
-
 def _score_csv(scores: dict, out_path) -> None:
     rows = [{"cluster": r["cluster"], "UnS": f'{r["uns"]:.10g}',
              "OS": f'{r["os"]:.10g}', "IncS": f'{r["incs"]:.10g}'}
@@ -408,7 +370,12 @@ def cmd_segment(args) -> None:
            else _default_slice(vol.dims))
     truth = _load_input(load_labels, args.truth) if args.truth else None
 
-    labels, membership, centers, iterations, weights = _segment_one(args, vol, ref)
+    fixed = _fixed_weights(args)
+    settings = BenchConfig(**_method_settings(args))
+    result = segment(args.algorithm, vol, ref, args.clusters, settings.fcm_config(),
+                     settings.attraction_params(), settings.pso_config(args.seed),
+                     settings.ga_config(args.seed), fixed, args.probe_steps)
+    labels = result.labels
 
     scores = None
     if truth is not None:
@@ -420,17 +387,17 @@ def cmd_segment(args) -> None:
 
     save_volume(labels, args.out)
     if args.membership:
-        np.save(args.membership, membership)
+        np.save(args.membership, result.membership)
     if args.pgm:
-        rendered = Volume(labels.dims, np.asarray(centers)[labels.labels],
+        rendered = Volume(labels.dims, np.asarray(result.centers)[labels.labels],
                           vol.intensity_max)
         write_pgm(rendered, args.pgm)
     if scores is not None:
         _score_csv(scores, args.metrics if args.metrics else sys.stdout)
-    shown = "-" if weights[0] is None else (f"lambda={weights[0]:.4g} "
-                                            f"xi={weights[1]:.4g}")
+    shown = ("-" if result.feature_weight is None else
+             f"lambda={result.feature_weight:.4g} xi={result.spatial_weight:.4g}")
     _say(args, f"{args.algorithm} on {ref.axis}:{ref.index}: "
-               f"{iterations} iterations, {shown}, wrote {args.out}")
+               f"{result.iterations} iterations, {shown}, wrote {args.out}")
 
 
 def cmd_eval(args) -> None:
@@ -452,28 +419,32 @@ def cmd_eval(args) -> None:
     _score_csv(scores, args.out if args.out else sys.stdout)
 
 
-def _bench_config(args) -> BenchConfig:
-    weights = _fixed_weights(args)
-    fixed = weights if weights is not None else (0.5, 0.5)
-    return BenchConfig(
-        algorithms=tuple(args.algorithms), noise_kinds=tuple(args.kinds),
-        noise_percents=tuple(args.percents), seeds=tuple(args.seeds),
-        dims=args.dims, shells=args.shells, clusters=args.clusters,
-        slice_spec=args.slice_spec,
-        volume_path=getattr(args, "volume", None),
-        truth_path=getattr(args, "truth", None),
-        fuzziness=args.fuzziness, tolerance=args.tolerance,
+def _method_settings(args) -> dict:
+    """BenchConfig fields from the flags segment, bench and sweep share;
+    without --lam/--xi, ifcm runs at (0.5, 0.5)."""
+    weights = _fixed_weights(args) or (0.5, 0.5)
+    return dict(
+        clusters=args.clusters, fuzziness=args.fuzziness, tolerance=args.tolerance,
         max_iterations=args.max_iter, level=args.level, depth=args.depth,
-        decay=args.decay, feature_weight=fixed[0], spatial_weight=fixed[1],
+        decay=args.decay, feature_weight=weights[0], spatial_weight=weights[1],
         swarm_size=args.swarm, pso_max_iter=args.opt_iters, omega=args.omega,
         phip=args.phip, phig=args.phig, minstep=args.minstep,
         minfunc=args.minfunc, population=args.population,
         generations=args.opt_iters, crossover_rate=args.crossover,
         mutation_rate=args.mutation, mutation_sigma=args.mutation_sigma,
-        probe_steps=args.probe_steps,
+        probe_steps=args.probe_steps)
+
+
+def _bench_config(args) -> BenchConfig:
+    return BenchConfig(
+        algorithms=tuple(args.algorithms), noise_kinds=tuple(args.kinds),
+        noise_percents=tuple(args.percents), seeds=tuple(args.seeds),
+        dims=args.dims, shells=args.shells, slice_spec=args.slice_spec,
+        volume_path=getattr(args, "volume", None),
+        truth_path=getattr(args, "truth", None),
         literal_incs=getattr(args, "literal_incs", False),
         per_cluster=getattr(args, "per_cluster", False),
-    )
+        **_method_settings(args))
 
 
 def cmd_bench(args) -> None:

@@ -6,7 +6,8 @@ optimiser picks the attraction strengths by probing a short attraction
 update from that state, and a full attraction-distance iteration runs to
 convergence from the best probe's state.  The 2-D pipelines confine the
 neighbourhood to the slice; the 3-D pipeline reaches into adjacent
-slices of the parent volume through shell neighbourhoods.
+slices of the parent volume through shell neighbourhoods.  :func:`segment`
+picks the pipeline by algorithm id for the CLI and the benchmark alike.
 """
 
 from __future__ import annotations
@@ -16,16 +17,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, PlaneContext,
-                               SliceContext, ifcm_step, plane_context,
-                               slice_context)
+from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, NeighbourContext,
+                               ifcm_step, plane_context, slice_context)
 from voxseg.errors import ValidationError
-from voxseg.fcm import (FcmConfig, fcm, gmm_init, jm_cost, update_centers,
-                        update_membership)
+from voxseg.fcm import (FcmConfig, fcm, gmm_fcm, gmm_init, jm_cost,
+                        update_centers, update_membership)
 from voxseg.metrics import defuzzify
-from voxseg.optimize import GaConfig, OptResult, PsoConfig, ga_minimize, pso_minimize
-from voxseg.volume import LabelVolume, SliceRef, Volume
+from voxseg.optimize import GaConfig, PsoConfig, ga_minimize, pso_minimize
+from voxseg.volume import LabelVolume, SliceRef, Volume, extract_slice
 
+ALGORITHMS = ("fcm", "ifcm", "ifcmpso", "gaifcm", "3dpifcm")
 WEIGHT_BOUNDS = ((0.0, 1.0), (0.0, 1.0))
 
 
@@ -34,15 +35,15 @@ class SegmentationResult:
     membership: np.ndarray
     centers: np.ndarray
     labels: LabelVolume
-    feature_weight: float
-    spatial_weight: float
+    feature_weight: float | None     # None for plain fcm, which has no weights
+    spatial_weight: float | None
     iterations: int
     final_cost: float
     wall_time: float
 
 
 def _context(domain, params: AttractionParams):
-    if isinstance(domain, (PlaneContext, SliceContext)):
+    if isinstance(domain, NeighbourContext):
         return domain
     if isinstance(domain, Volume):
         return plane_context(domain, params.level)
@@ -69,9 +70,9 @@ def _converge(ctx, u, centers, params: AttractionParams, cfg: FcmConfig):
 
 
 def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
-           steps: int | None):
+           steps: int):
     """Objective for weight search: cost after ``steps`` attraction updates
-    from the frozen starting state (None = run to convergence).
+    from the frozen starting state.
 
     The neighbourhood terms and base distances depend only on the start
     state, so the first update is shared across all candidate weights.
@@ -85,15 +86,9 @@ def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
         u = update_membership(d2, cfg.fuzziness)
         cost = jm_cost(u, d2, cfg.fuzziness)
         centers, u = update_centers(u, ctx.data, cfg.fuzziness)
-        done = 1
         p = replace(params, feature_weight=feature_weight, spatial_weight=spatial_weight)
-        while steps is None or done < steps:
-            u_prev = u
+        for _ in range(steps - 1):
             u, centers, cost = ifcm_step(ctx, u, centers, p, cfg)
-            done += 1
-            if steps is None and (float(np.abs(u - u_prev).max()) < cfg.tolerance
-                                  or done >= cfg.max_iterations):
-                break
         return u, centers, cost
 
     return propagate
@@ -135,91 +130,107 @@ def ifcm(domain, params: AttractionParams, init=None,
                    iterations, cost, started)
 
 
-def _optimised_run(ctx, clusters, cfg, params, optimiser, fixed, probe_steps,
-                   started) -> SegmentationResult:
+def _tuned(build, clusters: int, cfg: FcmConfig | None, params: AttractionParams,
+           minimize, opt_cfg, fixed, probe_steps: int) -> SegmentationResult:
+    """The weight-tuned pipelines: fit the starting state on the context
+    ``build()`` returns, take the weights from ``fixed`` or from ``minimize``
+    over the probe objective (the no-attraction point planted in its
+    initial population), then converge at those weights."""
+    if probe_steps < 1:
+        raise ValidationError(f"probe_steps must be >= 1, got {probe_steps}")
+    cfg = cfg or FcmConfig()
+    opt_cfg = replace(opt_cfg, bounds=WEIGHT_BOUNDS)
+    started = time.perf_counter()
+    ctx = build()
     state = _initial_state(ctx, clusters, cfg)
     if fixed is not None:
-        feature_weight, spatial_weight = (float(fixed[0]), float(fixed[1]))
+        weights = (float(fixed[0]), float(fixed[1]))
         u, centers = state.membership, state.centers
     else:
         propagate = _probe(ctx, state.membership, state.centers, cfg, params,
                            probe_steps)
-        best: OptResult = optimiser(lambda pos: propagate(pos[0], pos[1])[2])
-        feature_weight, spatial_weight = (float(best.position[0]),
-                                          float(best.position[1]))
-        u, centers, _ = propagate(feature_weight, spatial_weight)
-    tuned = replace(params, feature_weight=feature_weight,
-                    spatial_weight=spatial_weight)
+        best = minimize(lambda pos: propagate(pos[0], pos[1])[2], opt_cfg,
+                        seed_points=[(0.0, 0.0)])
+        weights = (float(best.position[0]), float(best.position[1]))
+        u, centers, _ = propagate(*weights)
+    tuned = replace(params, feature_weight=weights[0], spatial_weight=weights[1])
     u, centers, cost, iterations = _converge(ctx, u, centers, tuned, cfg)
-    return _finish(ctx, u, centers, feature_weight, spatial_weight,
-                   iterations, cost, started)
+    return _finish(ctx, u, centers, *weights, iterations, cost, started)
 
 
 def pso_ifcm(img, clusters: int, cfg: FcmConfig | None = None,
              params: AttractionParams | None = None,
              pso: PsoConfig | None = None,
              fixed: tuple[float, float] | None = None,
-             probe_steps: int | None = 1) -> SegmentationResult:
+             probe_steps: int = 1) -> SegmentationResult:
     """Swarm-tuned attraction clustering of a 2-D image.
 
     The swarm searches (feature_weight, spatial_weight) in [0, 1]^2 with
     the no-attraction point planted in the initial swarm; ``fixed``
     bypasses the search entirely and runs at the given weights.
     """
-    cfg = cfg or FcmConfig()
     params = params or AttractionParams()
-    pso = pso or PsoConfig()
-    pso = replace(pso, bounds=WEIGHT_BOUNDS)
-    started = time.perf_counter()
-    ctx = _context(img, params)
-
-    def optimiser(objective):
-        return pso_minimize(objective, pso, seed_points=[(0.0, 0.0)])
-
-    return _optimised_run(ctx, clusters, cfg, params, optimiser, fixed,
-                          probe_steps, started)
+    return _tuned(lambda: _context(img, params), clusters, cfg, params,
+                  pso_minimize, pso or PsoConfig(), fixed, probe_steps)
 
 
 def ga_ifcm(img, clusters: int, cfg: FcmConfig | None = None,
             params: AttractionParams | None = None,
             ga: GaConfig | None = None,
             fixed: tuple[float, float] | None = None,
-            probe_steps: int | None = 1) -> SegmentationResult:
+            probe_steps: int = 1) -> SegmentationResult:
     """Genetic-algorithm-tuned attraction clustering of a 2-D image."""
-    cfg = cfg or FcmConfig()
     params = params or AttractionParams()
-    ga = ga or GaConfig()
-    ga = replace(ga, bounds=WEIGHT_BOUNDS)
-    started = time.perf_counter()
-    ctx = _context(img, params)
-
-    def optimiser(objective):
-        return ga_minimize(objective, ga, seed_points=[(0.0, 0.0)])
-
-    return _optimised_run(ctx, clusters, cfg, params, optimiser, fixed,
-                          probe_steps, started)
+    return _tuned(lambda: _context(img, params), clusters, cfg, params,
+                  ga_minimize, ga or GaConfig(), fixed, probe_steps)
 
 
 def pso_ifcm_3d(vol: Volume, ref: SliceRef, clusters: int,
                 depth: int = 3, decay: float = 1.1,
                 cfg: FcmConfig | None = None, pso: PsoConfig | None = None,
                 fixed: tuple[float, float] | None = None,
-                probe_steps: int | None = 1) -> SegmentationResult:
+                probe_steps: int = 1) -> SegmentationResult:
     """Swarm-tuned clustering of one slice with 3-D shell neighbourhoods.
 
     Identical to :func:`pso_ifcm` except that attraction terms gather
     neighbours through the shell table, reaching into adjacent slices of
     ``vol``; the returned labels cover just the addressed slice.
     """
-    cfg = cfg or FcmConfig()
-    pso = pso or PsoConfig()
-    pso = replace(pso, bounds=WEIGHT_BOUNDS)
     params = AttractionParams(depth=depth, decay=decay)
+    return _tuned(lambda: slice_context(vol, ref, depth, decay), clusters, cfg,
+                  params, pso_minimize, pso or PsoConfig(), fixed, probe_steps)
+
+
+def segment(algorithm: str, vol: Volume, ref: SliceRef, clusters: int,
+            cfg: FcmConfig | None = None, params: AttractionParams | None = None,
+            pso: PsoConfig | None = None, ga: GaConfig | None = None,
+            fixed: tuple[float, float] | None = None,
+            probe_steps: int = 1) -> SegmentationResult:
+    """Segment slice ``ref`` of ``vol`` with one of :data:`ALGORITHMS`.
+
+    The single algorithm dispatch behind ``voxseg segment`` and the
+    benchmark.  ``params`` holds the weights ``ifcm`` runs at, the 2-D
+    level and the 3-D depth and decay; ``fixed`` skips the weight search
+    of the tuned algorithms.  Plain ``fcm`` reports no weights (None).
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    cfg = cfg or FcmConfig()
+    params = params or AttractionParams()
+    if algorithm == "3dpifcm":
+        return pso_ifcm_3d(vol, ref, clusters, params.depth, params.decay, cfg,
+                           pso, fixed, probe_steps)
+    plane = extract_slice(vol, ref)
+    if algorithm == "ifcmpso":
+        return pso_ifcm(plane, clusters, cfg, params, pso, fixed, probe_steps)
+    if algorithm == "gaifcm":
+        return ga_ifcm(plane, clusters, cfg, params, ga, fixed, probe_steps)
     started = time.perf_counter()
-    ctx = slice_context(vol, ref, depth, decay)
-
-    def optimiser(objective):
-        return pso_minimize(objective, pso, seed_points=[(0.0, 0.0)])
-
-    return _optimised_run(ctx, clusters, cfg, params, optimiser, fixed,
-                          probe_steps, started)
+    fit = gmm_fcm(plane, clusters, cfg)
+    if algorithm == "ifcm":
+        return ifcm(plane, params, init=(fit.membership, fit.centers), cfg=cfg)
+    return SegmentationResult(
+        membership=fit.membership, centers=fit.centers,
+        labels=defuzzify(fit.membership, plane.dims),
+        feature_weight=None, spatial_weight=None, iterations=fit.iterations,
+        final_cost=float(fit.cost), wall_time=time.perf_counter() - started)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, PlaneContext,
-                               attraction_distance_2d, attraction_distances,
-                               build_shell_table, decay_weights, ifcm_step,
-                               neighborhood_2d, plane_context, slice_context)
+                               attraction_distances, build_shell_table,
+                               decay_weights, ifcm_step, neighborhood_2d,
+                               plane_context, slice_context)
 from voxseg.errors import ValidationError
 from voxseg.fcm import FcmConfig, jm_cost, update_centers, update_membership
 from voxseg.volume import SliceRef, Volume
@@ -279,18 +279,6 @@ def test_ifcm_step_with_attraction():
     assert np.allclose(u2.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(np.diff(c2) >= 0)
     assert cost >= 0.0
-
-
-def test_scalar_helper_matches_matrix():
-    rng = np.random.default_rng(21)
-    plane = rng.uniform(0, 100, size=(4, 4))
-    u = rng.uniform(0.01, 1, size=(16, 2))
-    u /= u.sum(axis=1, keepdims=True)
-    centers = np.array([20.0, 80.0])
-    params = AttractionParams(feature_weight=0.5, spatial_weight=0.2)
-    ctx = plane_context(plane, params.level)
-    d2 = attraction_distances(ctx, u, centers, 2.0, 0.5, 0.2)
-    assert attraction_distance_2d(5, 1, plane, u, centers, params) == d2[5, 1]
 
 
 def test_membership_shape_rejected():

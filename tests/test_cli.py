@@ -5,7 +5,9 @@ import csv
 import numpy as np
 import pytest
 
-from voxseg.bench import COMPARISON_COLUMNS, REPORT_COLUMNS, SWEEP_COLUMNS
+from voxseg import bench
+from voxseg.bench import (ALGORITHMS, COMPARISON_COLUMNS, REPORT_COLUMNS,
+                          SWEEP_COLUMNS, BenchConfig, run_benchmark)
 from voxseg.cli import main
 from voxseg.fcm import FcmConfig, gmm_fcm
 from voxseg.metrics import defuzzify, evaluate_labels
@@ -147,6 +149,50 @@ def test_segment_unknown_algorithm(assets, tmp_path, capsys):
                  "--out", str(tmp_path / "seg.vxf")])
     assert code == 1
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_segment_rejects_probe_steps_below_one(assets, tmp_path, capsys, steps):
+    out = tmp_path / "seg.vxf"
+    code = main(["segment", "--in", str(assets["noisy"]), "--algo", "ifcmpso",
+                 "--slice", "z:12", "--c", "2", "--swarm", "4", "--opt-iters", "2",
+                 "--probe-steps", steps, "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "probe_steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_segment_agrees_with_one_bench_cell(tmp_path, monkeypatch, algorithm):
+    # both front ends dispatch through pipelines.segment; the same volume,
+    # slice, seed and optimiser budget must give the same labels and score
+    dims = (16, 16, 16)
+    vol, truth = generate_phantom(PhantomSpec(dims=dims, num_shells=2))
+    noisy_path, truth_path = tmp_path / "noisy.vxf", tmp_path / "truth.vxf"
+    save_volume(add_noise(vol, NoiseSpec("gaussian", 15.0, 0)), noisy_path)
+    save_volume(truth, truth_path)
+    out, metrics = tmp_path / "seg.vxf", tmp_path / "seg.csv"
+    assert main(["segment", "--in", str(noisy_path), "--algo", algorithm,
+                 "--slice", "z:8", "--c", "2", "--swarm", "4", "--opt-iters", "2",
+                 "--population", "4", "--seed", "0", "--out", str(out),
+                 "--truth", str(truth_path), "--metrics", str(metrics),
+                 "--quiet"]) == 0
+
+    real, cell_results = bench.segment, []
+
+    def spy(*args, **kwargs):
+        cell_results.append(real(*args, **kwargs))
+        return cell_results[-1]
+
+    monkeypatch.setattr(bench, "segment", spy)
+    cfg = BenchConfig(algorithms=(algorithm,), noise_kinds=("gaussian",),
+                      noise_percents=(15.0,), seeds=(0,), dims=dims, shells=2,
+                      swarm_size=4, pso_max_iter=2, population=4, generations=2)
+    rows, _ = run_benchmark(cfg)
+    assert rows[-1]["status"] == "ok"
+    assert len(cell_results) == 1
+    assert np.array_equal(load_labels(out).labels, cell_results[0].labels.labels)
+    assert read_csv(metrics)[-1]["IncS"] == rows[-1]["IncS"]
 
 
 def test_eval_matches_library_scoring(assets, tmp_path):

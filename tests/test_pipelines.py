@@ -11,7 +11,7 @@ from voxseg.metrics import defuzzify, evaluate_labels
 from voxseg.noise import NoiseSpec, add_noise
 from voxseg.optimize import PsoConfig, pso_minimize
 from voxseg.phantom import PhantomSpec, generate_phantom
-from voxseg.pipelines import ga_ifcm, ifcm, pso_ifcm, pso_ifcm_3d
+from voxseg.pipelines import ga_ifcm, ifcm, pso_ifcm, pso_ifcm_3d, segment
 from voxseg.volume import SliceRef, extract_slice
 
 CFG = FcmConfig()
@@ -134,6 +134,25 @@ def test_probe_steps_variants():
     one = pso_ifcm_3d(noisy, ref, 4, pso=pso, probe_steps=1)
     deep = pso_ifcm_3d(noisy, ref, 4, pso=pso, probe_steps=3)
     assert one.labels.dims == deep.labels.dims == (24, 24, 1)
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_probe_steps_below_one_rejected(steps):
+    noisy, _ = noisy_phantom(dims=(16, 16, 16))
+    ref = SliceRef("z", 8)
+    sl = extract_slice(noisy, ref)
+    with pytest.raises(ValidationError, match="probe_steps"):
+        pso_ifcm(sl, 4, probe_steps=steps)
+    with pytest.raises(ValidationError, match="probe_steps"):
+        ga_ifcm(sl, 4, probe_steps=steps)
+    with pytest.raises(ValidationError, match="probe_steps"):
+        pso_ifcm_3d(noisy, ref, 4, probe_steps=steps)
+
+
+def test_segment_rejects_unknown_algorithm():
+    noisy, _ = noisy_phantom(dims=(16, 16, 16))
+    with pytest.raises(ValidationError, match="unknown algorithm"):
+        segment("kmeans", noisy, SliceRef("z", 8), 4)
 
 
 def spearman(a, b):
