@@ -260,9 +260,13 @@ class SliceContext(NeighbourContext):
             raise IndexError(f"slice {ref.axis}:{ref.index} out of range for dims {vol.dims}")
         dims = list(vol.dims)
         dims[axis] = 1
-        super().__init__(np.moveaxis(vol.data, axis, 2).astype(np.float64), ref.index,
-                         build_shell_table(depth).shells, decay_weights(decay, depth),
-                         tuple(dims), axis, vol.intensity_max)
+        shells = build_shell_table(depth).shells
+        # only the planes the shells reach are read, so only those are copied
+        reach = max(int(np.abs(shell[:, 2]).max()) for shell in shells)
+        lo = max(0, ref.index - reach)
+        planes = np.moveaxis(vol.data, axis, 2)[:, :, lo:ref.index + reach + 1]
+        super().__init__(planes.astype(np.float64), ref.index - lo, shells,
+                         decay_weights(decay, depth), tuple(dims), axis, vol.intensity_max)
 
 
 def plane_context(img: Volume | np.ndarray, level: int = 2) -> PlaneContext:
@@ -279,15 +283,32 @@ def slice_context(vol: Volume, ref: SliceRef, depth: int = 3,
     return SliceContext(vol, ref, depth, decay)
 
 
+def scaled_distances(base: np.ndarray, h: np.ndarray, f: np.ndarray,
+                     feature_weight: float, spatial_weight: float) -> np.ndarray:
+    """Plain squared distances ``base`` times the floored attraction factor,
+    which is exactly 1.0 at zero weights."""
+    return base * np.maximum(1.0 - feature_weight * h - spatial_weight * f,
+                             FACTOR_FLOOR)
+
+
+def picard_update(data: np.ndarray, d2: np.ndarray,
+                  fuzziness: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Memberships from ``d2``, their cost against ``d2``, then the sorted
+    centers; returns (memberships, centers, cost), columns in center order."""
+    u = update_membership(d2, fuzziness)
+    cost = jm_cost(u, d2, fuzziness)
+    centers, u = update_centers(u, data, fuzziness)
+    return u, centers, cost
+
+
 def attraction_distances(ctx, u: np.ndarray, centers: np.ndarray,
                          fuzziness: float, feature_weight: float,
                          spatial_weight: float) -> np.ndarray:
     """Full matrix of attraction-scaled squared distances."""
     h, f = ctx.attraction_terms(u, centers, fuzziness)
     centers = np.asarray(centers, dtype=np.float64).ravel()
-    base = (ctx.data[:, None] - centers) ** 2
-    factor = np.maximum(1.0 - feature_weight * h - spatial_weight * f, FACTOR_FLOOR)
-    return base * factor
+    return scaled_distances((ctx.data[:, None] - centers) ** 2, h, f,
+                            feature_weight, spatial_weight)
 
 
 def ifcm_step(ctx, u: np.ndarray, centers: np.ndarray, params: AttractionParams,
@@ -298,14 +319,6 @@ def ifcm_step(ctx, u: np.ndarray, centers: np.ndarray, params: AttractionParams,
     centers; returns the new pair plus the cost evaluated with the new
     memberships against the distances just used.
     """
-    if params.feature_weight == 0.0 and params.spatial_weight == 0.0:
-        # attraction switched off: the scale factor is identically one
-        centers_arr = np.asarray(centers, dtype=np.float64).ravel()
-        d2 = (ctx.data[:, None] - centers_arr) ** 2
-    else:
-        d2 = attraction_distances(ctx, u, centers, cfg.fuzziness,
-                                  params.feature_weight, params.spatial_weight)
-    u_next = update_membership(d2, cfg.fuzziness)
-    cost = jm_cost(u_next, d2, cfg.fuzziness)
-    centers_next, u_next = update_centers(u_next, ctx.data, cfg.fuzziness)
-    return u_next, centers_next, cost
+    d2 = attraction_distances(ctx, u, centers, cfg.fuzziness,
+                              params.feature_weight, params.spatial_weight)
+    return picard_update(ctx.data, d2, cfg.fuzziness)

@@ -78,6 +78,8 @@ class BenchConfig:
             raise ValidationError("benchmark matrix must have at least one cell")
         if (self.volume_path is None) != (self.truth_path is None):
             raise ValidationError("volume_path and truth_path must be given together")
+        if int(self.probe_steps) < 1:
+            raise ValidationError(f"probe_steps must be >= 1, got {self.probe_steps}")
 
     @property
     def cluster_count(self) -> int:

@@ -243,17 +243,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _actions_for(parser: _Parser, command: str | None):
-    actions = list(parser._actions)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction) and command:
-            chosen = action.choices.get(command)
-            if chosen is not None:
-                actions.extend(chosen._actions)
-    return actions
-
-
-def _apply_config(args, parser: _Parser, argv: list[str]) -> None:
+def _apply_config(args, argv: list[str]) -> None:
     if getattr(args, "config", None) is None:
         return
     path = Path(args.config)
@@ -261,16 +251,21 @@ def _apply_config(args, parser: _Parser, argv: list[str]) -> None:
         text = path.read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
+    # a fresh parser with every default suppressed: parsing argv again keeps
+    # just the flags given, resolved as argparse resolves them (--dim is --dims)
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     table = {}
-    for action in _actions_for(parser, args.command):
-        if action.dest in ("help", "command", "config") or not action.option_strings:
-            continue
-        table[action.dest] = action
-        for opt in action.option_strings:
-            table[opt.lstrip("-").replace("-", "_")] = action
-    explicit = set()
-    for token in argv:
-        explicit.add(token.split("=", 1)[0])
+    for p in (parser, sub.choices[args.command]):
+        p._defaults.clear()
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+            if action.dest in ("help", "command", "config") or not action.option_strings:
+                continue
+            table[action.dest] = action
+            for opt in action.option_strings:
+                table[opt.lstrip("-").replace("-", "_")] = action
+    explicit = set(vars(parser.parse_args(argv)))
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -282,7 +277,7 @@ def _apply_config(args, parser: _Parser, argv: list[str]) -> None:
         action = table.get(key.replace("-", "_"))
         if action is None:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-        if any(opt in explicit for opt in action.option_strings):
+        if action.dest in explicit:
             continue  # command-line flags win over the config file
         try:
             if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
@@ -473,7 +468,7 @@ def main(argv=None) -> int:
         if getattr(args, "command", None) is None:
             parser.print_help(sys.stderr)
             return 1
-        _apply_config(args, parser, argv)
+        _apply_config(args, argv)
         args.func(args)
     except (ValidationError, FileNotFoundError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

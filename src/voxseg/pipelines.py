@@ -1,13 +1,12 @@
 """End-to-end segmentation pipelines.
 
-Every pipeline clusters one slice: a plain fuzzy c-means fit (seeded by
-the Gaussian-mixture init) establishes the starting state, an optional
-optimiser picks the attraction strengths by probing a short attraction
-update from that state, and a full attraction-distance iteration runs to
-convergence from the best probe's state.  The 2-D pipelines confine the
-neighbourhood to the slice; the 3-D pipeline reaches into adjacent
-slices of the parent volume through shell neighbourhoods.  :func:`segment`
-picks the pipeline by algorithm id for the CLI and the benchmark alike.
+All five algorithms run the same stages: one neighbour context per slice
+(in-plane in 2-D; shells into adjacent slices for ``3dpifcm``), one
+GMM-seeded fuzzy c-means start, then weights that are given (``ifcm``) or
+tuned by probing a short attraction update from that start, and one
+converge loop of attraction Picard steps that builds every result.  Plain
+``fcm`` skips the weights and the loop: its start is its answer.
+:func:`segment` picks the algorithm by id for the CLI and the benchmark.
 """
 
 from __future__ import annotations
@@ -17,12 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, NeighbourContext,
-                               ifcm_step, plane_context, slice_context)
+from voxseg.attraction import (AttractionParams, NeighbourContext, ifcm_step,
+                               picard_update, plane_context, scaled_distances,
+                               slice_context)
 from voxseg.errors import ValidationError
-from voxseg.fcm import (FcmConfig, fcm, gmm_fcm, gmm_init, jm_cost,
-                        update_centers, update_membership)
-from voxseg.metrics import defuzzify
+from voxseg.fcm import FcmConfig, fcm, gmm_init
 from voxseg.optimize import GaConfig, PsoConfig, ga_minimize, pso_minimize
 from voxseg.volume import LabelVolume, SliceRef, Volume, extract_slice
 
@@ -55,18 +53,27 @@ def _initial_state(ctx, clusters: int, cfg: FcmConfig):
     return fcm(ctx.data, clusters, cfg, init_centers=centers0)
 
 
-def _converge(ctx, u, centers, params: AttractionParams, cfg: FcmConfig):
-    """Iterate attraction updates until the membership matrix settles."""
-    iterations = 0
-    cost = float("nan")
-    for _ in range(cfg.max_iterations):
-        u_next, centers, cost = ifcm_step(ctx, u, centers, params, cfg)
-        shift = float(np.abs(u_next - u).max())
-        u = u_next
-        iterations += 1
-        if shift < cfg.tolerance:
-            break
-    return u, centers, cost, iterations
+def _converge(ctx, u, centers, params: AttractionParams | None, cfg: FcmConfig,
+              started: float, iterations: int = 0,
+              cost: float = float("nan")) -> SegmentationResult:
+    """Iterate attraction updates at ``params`` until the memberships settle
+    and package the result.  Plain fcm passes ``params=None`` with its fit's
+    iteration count and cost, as its start is its answer."""
+    weights = (None, None)
+    if params is not None:
+        weights = (float(params.feature_weight), float(params.spatial_weight))
+        for _ in range(cfg.max_iterations):
+            u_next, centers, cost = ifcm_step(ctx, u, centers, params, cfg)
+            shift = float(np.abs(u_next - u).max())
+            u = u_next
+            iterations += 1
+            if shift < cfg.tolerance:
+                break
+    return SegmentationResult(
+        membership=u, centers=centers, labels=ctx.labels_volume(np.argmax(u, axis=1)),
+        feature_weight=weights[0], spatial_weight=weights[1],
+        iterations=iterations, final_cost=float(cost),
+        wall_time=time.perf_counter() - started)
 
 
 def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
@@ -81,11 +88,8 @@ def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
     base = (ctx.data[:, None] - centers0) ** 2
 
     def propagate(feature_weight: float, spatial_weight: float):
-        d2 = base * np.maximum(1.0 - feature_weight * h - spatial_weight * f,
-                               FACTOR_FLOOR)
-        u = update_membership(d2, cfg.fuzziness)
-        cost = jm_cost(u, d2, cfg.fuzziness)
-        centers, u = update_centers(u, ctx.data, cfg.fuzziness)
+        d2 = scaled_distances(base, h, f, feature_weight, spatial_weight)
+        u, centers, cost = picard_update(ctx.data, d2, cfg.fuzziness)
         p = replace(params, feature_weight=feature_weight, spatial_weight=spatial_weight)
         for _ in range(steps - 1):
             u, centers, cost = ifcm_step(ctx, u, centers, p, cfg)
@@ -94,40 +98,24 @@ def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
     return propagate
 
 
-def _finish(ctx, u, centers, feature_weight, spatial_weight, iterations,
-            cost, started) -> SegmentationResult:
-    labels = ctx.labels_volume(np.argmax(u, axis=1))
-    return SegmentationResult(
-        membership=u, centers=centers, labels=labels,
-        feature_weight=float(feature_weight), spatial_weight=float(spatial_weight),
-        iterations=iterations, final_cost=float(cost),
-        wall_time=time.perf_counter() - started)
-
-
-def ifcm(domain, params: AttractionParams, init=None,
+def ifcm(domain, params: AttractionParams, init,
          cfg: FcmConfig | None = None) -> SegmentationResult:
     """Attraction-distance clustering at fixed weights.
 
     ``domain`` is a single-slice volume, a plane context, or a slice
-    context; ``init`` is a (membership, centers) pair, typically the
-    output of :func:`voxseg.fcm.gmm_fcm`.  With ``init=None`` the
-    starting state is fit here (requires passing the cluster count via
-    the centers of ``init`` otherwise).
+    context; ``init`` is the (membership, centers) start state, typically
+    those of a :func:`voxseg.fcm.gmm_fcm` fit.
     """
     cfg = cfg or FcmConfig()
     started = time.perf_counter()
     ctx = _context(domain, params)
-    if init is None:
-        raise ValidationError("ifcm needs an initial (membership, centers) state")
     u, centers = init
     u = np.asarray(u, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64).ravel()
     if u.shape != (ctx.data.size, centers.size):
         raise ValidationError(f"init shapes {u.shape} / {centers.shape} do not "
                               f"match {ctx.data.size} voxels")
-    u, centers, cost, iterations = _converge(ctx, u, centers, params, cfg)
-    return _finish(ctx, u, centers, params.feature_weight, params.spatial_weight,
-                   iterations, cost, started)
+    return _converge(ctx, u, centers, params, cfg, started)
 
 
 def _tuned(build, clusters: int, cfg: FcmConfig | None, params: AttractionParams,
@@ -154,8 +142,7 @@ def _tuned(build, clusters: int, cfg: FcmConfig | None, params: AttractionParams
         weights = (float(best.position[0]), float(best.position[1]))
         u, centers, _ = propagate(*weights)
     tuned = replace(params, feature_weight=weights[0], spatial_weight=weights[1])
-    u, centers, cost, iterations = _converge(ctx, u, centers, tuned, cfg)
-    return _finish(ctx, u, centers, *weights, iterations, cost, started)
+    return _converge(ctx, u, centers, tuned, cfg, started)
 
 
 def pso_ifcm(img, clusters: int, cfg: FcmConfig | None = None,
@@ -220,17 +207,14 @@ def segment(algorithm: str, vol: Volume, ref: SliceRef, clusters: int,
     if algorithm == "3dpifcm":
         return pso_ifcm_3d(vol, ref, clusters, params.depth, params.decay, cfg,
                            pso, fixed, probe_steps)
-    plane = extract_slice(vol, ref)
+    ctx = plane_context(extract_slice(vol, ref), params.level)
     if algorithm == "ifcmpso":
-        return pso_ifcm(plane, clusters, cfg, params, pso, fixed, probe_steps)
+        return pso_ifcm(ctx, clusters, cfg, params, pso, fixed, probe_steps)
     if algorithm == "gaifcm":
-        return ga_ifcm(plane, clusters, cfg, params, ga, fixed, probe_steps)
+        return ga_ifcm(ctx, clusters, cfg, params, ga, fixed, probe_steps)
     started = time.perf_counter()
-    fit = gmm_fcm(plane, clusters, cfg)
+    state = _initial_state(ctx, clusters, cfg)
     if algorithm == "ifcm":
-        return ifcm(plane, params, init=(fit.membership, fit.centers), cfg=cfg)
-    return SegmentationResult(
-        membership=fit.membership, centers=fit.centers,
-        labels=defuzzify(fit.membership, plane.dims),
-        feature_weight=None, spatial_weight=None, iterations=fit.iterations,
-        final_cost=float(fit.cost), wall_time=time.perf_counter() - started)
+        return ifcm(ctx, params, (state.membership, state.centers), cfg)
+    return _converge(ctx, state.membership, state.centers, None, cfg, started,
+                     state.iterations, state.cost)

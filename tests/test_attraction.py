@@ -202,23 +202,28 @@ def brute_terms_3d(grid, z, u, centers, fuzziness, depth, decay):
     return h, f
 
 
-@pytest.mark.parametrize("zi", [0, 1])
+@pytest.mark.parametrize("zi", [0, 1, 3, 6])
 def test_slice_terms_brute_force(zi):
-    # zi=0 clips shells at the volume face and exercises renormalisation
+    # zi=0 and the last plane clip shells at a volume face and exercise
+    # renormalisation; depths 4 and 5 reach two planes, so on three planes
+    # the window is clipped at both ends
     rng = np.random.default_rng(16)
-    grid = rng.uniform(0, 100, size=(4, 3, 3))
-    vol = Volume((4, 3, 3), grid, 100.0)
-    centers = np.array([25.0, 75.0])
-    u = rng.uniform(0.01, 1, size=(12, 2))
-    u /= u.sum(axis=1, keepdims=True)
-    for depth, decay in ((2, 0.9), (3, 1.5)):
-        ctx = slice_context(vol, SliceRef("z", zi), depth, decay)
-        h, f = ctx.attraction_terms(u, centers, 2.0)
-        bh, bf = brute_terms_3d(grid.astype(np.float64), zi, u, centers,
-                                2.0, depth, decay)
-        assert np.allclose(h, bh, atol=1e-12)
-        assert np.allclose(f, bf, atol=1e-12)
-        assert np.all((h >= 0) & (h <= 1)) and np.all((f >= 0) & (f <= 1))
+    for nz in (3, 7):
+        if zi >= nz:
+            continue
+        grid = rng.uniform(0, 100, size=(4, 3, nz))
+        vol = Volume((4, 3, nz), grid, 100.0)
+        centers = np.array([25.0, 75.0])
+        u = rng.uniform(0.01, 1, size=(12, 2))
+        u /= u.sum(axis=1, keepdims=True)
+        for depth, decay in ((2, 0.9), (3, 1.5), (4, 1.1), (5, 2.0)):
+            ctx = slice_context(vol, SliceRef("z", zi), depth, decay)
+            h, f = ctx.attraction_terms(u, centers, 2.0)
+            bh, bf = brute_terms_3d(grid.astype(np.float64), zi, u, centers,
+                                    2.0, depth, decay)
+            assert np.allclose(h, bh, atol=1e-12)
+            assert np.allclose(f, bf, atol=1e-12)
+            assert np.all((h >= 0) & (h <= 1)) and np.all((f >= 0) & (f <= 1))
 
 
 def test_slice_context_axis_equivalence():

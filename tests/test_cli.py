@@ -153,13 +153,22 @@ def test_segment_unknown_algorithm(assets, tmp_path, capsys):
 
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_segment_rejects_probe_steps_below_one(assets, tmp_path, capsys, steps):
+    # rejected up front, also where nothing would probe (fcm) and in bench
     out = tmp_path / "seg.vxf"
-    code = main(["segment", "--in", str(assets["noisy"]), "--algo", "ifcmpso",
-                 "--slice", "z:12", "--c", "2", "--swarm", "4", "--opt-iters", "2",
-                 "--probe-steps", steps, "--out", str(out), "--quiet"])
+    for algorithm in ("ifcmpso", "fcm"):
+        code = main(["segment", "--in", str(assets["noisy"]), "--algo", algorithm,
+                     "--slice", "z:12", "--c", "2", "--swarm", "4", "--opt-iters", "2",
+                     "--probe-steps", steps, "--out", str(out), "--quiet"])
+        assert code == 1
+        assert "probe_steps" in capsys.readouterr().err
+        assert not out.exists()
+    report = tmp_path / "report.csv"
+    code = main(["bench", "--algorithms", "fcm,ifcmpso", "--percents", "5",
+                 "--seeds", "0", "--dims", "16,16,16", "--shells", "2",
+                 "--probe-steps", steps, "--report", str(report), "--quiet"])
     assert code == 1
     assert "probe_steps" in capsys.readouterr().err
-    assert not out.exists()
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -283,13 +292,16 @@ def test_config_file_supplies_defaults(tmp_path):
     assert load_volume(out).dims == (12, 12, 12)
 
 
-def test_explicit_flags_beat_config(tmp_path):
+@pytest.mark.parametrize("flag", [["--dims", "8,8,8"], ["--dim", "8,8,8"],
+                                  ["--dims=8,8,8"]],
+                         ids=["dims", "abbreviated", "equals"])
+def test_explicit_flags_beat_config(tmp_path, flag):
+    # argparse accepts an unambiguous prefix of a long flag; it is just as explicit
     config = tmp_path / "run.cfg"
     config.write_text("dims=12,12,12\nshells=2\nquiet=true\n")
     out = tmp_path / "p.vxf"
-    assert main(["phantom", "--out", str(out), "--config", str(config),
-                 "--dims", "10,10,10"]) == 0
-    assert load_volume(out).dims == (10, 10, 10)
+    assert main(["phantom", "--out", str(out), "--config", str(config), *flag]) == 0
+    assert load_volume(out).dims == (8, 8, 8)
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

@@ -70,7 +70,7 @@ def test_clean_slice_exact_labels():
 def test_ifcm_requires_init():
     noisy, _ = noisy_phantom()
     sl = extract_slice(noisy, SliceRef("z", 16))
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError):
         ifcm(sl, AttractionParams())
     bad_u = np.ones((5, 4)) / 4
     with pytest.raises(ValidationError):
