@@ -138,8 +138,13 @@ def _windows(nx: int, ny: int, dx: int, dy: int):
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den with zero denominators mapping to zero (flat patches
     attract nothing), clipped to [0, 1] to shed division dust."""
-    out = np.divide(num, den[..., None], out=np.zeros_like(num), where=den[..., None] > 0)
-    return np.clip(out, 0.0, 1.0)
+    out = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _cluster_major(u: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """(n, c) memberships of one plane as (c, nx, ny), x fastest."""
+    return np.ascontiguousarray(u.T).reshape((u.shape[1],) + shape, order="F")
 
 
 class NeighbourContext:
@@ -152,7 +157,9 @@ class NeighbourContext:
     windows of each offset, q^2, each shell's contrast and proximity
     denominators and the renormaliser over the shells that reach each
     voxel - is built once here, so each :meth:`attraction_terms` call only
-    gathers membership votes.
+    gathers membership votes.  It gathers them cluster-major, as (c, nx, ny)
+    planes with x fastest, so numpy runs one long loop per offset instead
+    of a c-wide loop per voxel; every voxel gets its votes in the same order.
     """
 
     def __init__(self, grid: np.ndarray, z: int, shells, weights,
@@ -170,12 +177,12 @@ class NeighbourContext:
         nx, ny = self.shape
         self._shells = []
         planes = set()
-        weight_present = np.zeros((nx, ny))
+        weight_present = np.zeros((nx, ny), order="F")
         for w, shell in zip(weights, shells):
             entries = []
-            contrast_sum = np.zeros((nx, ny))
-            prox_sum = np.zeros((nx, ny))
-            reached = np.zeros((nx, ny), dtype=bool)
+            contrast_sum = np.zeros((nx, ny), order="F")
+            prox_sum = np.zeros((nx, ny), order="F")
+            reached = np.zeros((nx, ny), dtype=bool, order="F")
             for dx, dy, dz in shell:
                 zk = z + int(dz)
                 win = _windows(nx, ny, int(dx), int(dy))
@@ -192,7 +199,7 @@ class NeighbourContext:
             weight_present += w * reached
         # shells clipped away at the boundary hand their weight to the rest;
         # a voxel no shell reaches has zero votes, and dividing by one keeps them
-        self._renorm = np.where(weight_present > 0, weight_present, 1.0)[..., None]
+        self._renorm = np.where(weight_present > 0, weight_present, 1.0)
         self._other_planes = sorted(planes - {z})
 
     def _contrast(self, target, source, zk: int) -> np.ndarray:
@@ -213,24 +220,26 @@ class NeighbourContext:
         if u.shape != (nx * ny, c):
             raise ValidationError(f"membership shape {u.shape} does not match "
                                   f"{nx * ny} voxels x {c} clusters")
-        members = {self.z: u.reshape(nx, ny, c, order="F")}
+        members = {self.z: _cluster_major(u, self.shape)}
         for zk in self._other_planes:
             d2 = (self.grid[:, :, zk].ravel(order="F")[:, None] - centers) ** 2
-            members[zk] = update_membership(d2, fuzziness).reshape(nx, ny, c, order="F")
-        h = f = 0.0
+            members[zk] = _cluster_major(update_membership(d2, fuzziness), self.shape)
+        every_cluster = (slice(None),)
+        h, f = np.zeros_like(members[self.z]), np.zeros_like(members[self.z])
+        contrast_vote, prox_vote = np.empty_like(h), np.empty_like(h)
         for w, entries, contrast_sum, prox_sum in self._shells:
-            contrast_vote = np.zeros((nx, ny, c))
-            prox_vote = np.zeros((nx, ny, c))
+            contrast_vote.fill(0.0)
+            prox_vote.fill(0.0)
             for target, source, zk, q2 in entries:
-                nb = members[zk][source]
-                contrast_vote[target] += nb * self._contrast(target, source, zk)[..., None]
-                prox_vote[target] += nb ** 2 * q2
-            h = h + w * _ratio(contrast_vote, contrast_sum)
-            f = f + w * _ratio(prox_vote, prox_sum)
+                nb = members[zk][every_cluster + source]
+                contrast_vote[every_cluster + target] += nb * self._contrast(target, source, zk)
+                prox_vote[every_cluster + target] += nb ** 2 * q2
+            h += w * _ratio(contrast_vote, contrast_sum)
+            f += w * _ratio(prox_vote, prox_sum)
         h = np.clip(h / self._renorm, 0.0, 1.0)
         f = np.clip(f / self._renorm, 0.0, 1.0)
-        return (h.reshape(nx * ny, c, order="F"),
-                f.reshape(nx * ny, c, order="F"))
+        return (h.reshape(c, nx * ny, order="F").T,
+                f.reshape(c, nx * ny, order="F").T)
 
 
 class PlaneContext(NeighbourContext):
@@ -240,7 +249,7 @@ class PlaneContext(NeighbourContext):
     def __init__(self, plane: np.ndarray, level: int = 2,
                  label_dims: tuple[int, int, int] | None = None,
                  unit_axis: int = 2, intensity_max: float | None = None):
-        plane = np.asarray(plane, dtype=np.float64)
+        plane = np.asfortranarray(plane, dtype=np.float64)
         if plane.ndim != 2:
             raise ValidationError(f"plane must be 2-D, got shape {plane.shape}")
         flat = neighborhood_2d(level)
@@ -265,7 +274,7 @@ class SliceContext(NeighbourContext):
         reach = max(int(np.abs(shell[:, 2]).max()) for shell in shells)
         lo = max(0, ref.index - reach)
         planes = np.moveaxis(vol.data, axis, 2)[:, :, lo:ref.index + reach + 1]
-        super().__init__(planes.astype(np.float64), ref.index - lo, shells,
+        super().__init__(planes.astype(np.float64, order="F"), ref.index - lo, shells,
                          decay_weights(decay, depth), tuple(dims), axis, vol.intensity_max)
 
 

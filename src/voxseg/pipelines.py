@@ -20,7 +20,7 @@ from voxseg.attraction import (AttractionParams, NeighbourContext, ifcm_step,
                                picard_update, plane_context, scaled_distances,
                                slice_context)
 from voxseg.errors import ValidationError
-from voxseg.fcm import FcmConfig, fcm, gmm_init
+from voxseg.fcm import FcmConfig, FcmResult, check_membership, fcm, gmm_init
 from voxseg.optimize import GaConfig, PsoConfig, ga_minimize, pso_minimize
 from voxseg.volume import LabelVolume, SliceRef, Volume, extract_slice
 
@@ -56,9 +56,9 @@ def _initial_state(ctx, clusters: int, cfg: FcmConfig):
 def _converge(ctx, u, centers, params: AttractionParams | None, cfg: FcmConfig,
               started: float, iterations: int = 0,
               cost: float = float("nan")) -> SegmentationResult:
-    """Iterate attraction updates at ``params`` until the memberships settle
-    and package the result.  Plain fcm passes ``params=None`` with its fit's
-    iteration count and cost, as its start is its answer."""
+    """Iterate attraction updates at ``params`` until the memberships settle,
+    check them and package the result.  Plain fcm passes ``params=None`` with
+    its fit's iteration count and cost, as its start is its answer."""
     weights = (None, None)
     if params is not None:
         weights = (float(params.feature_weight), float(params.spatial_weight))
@@ -69,6 +69,7 @@ def _converge(ctx, u, centers, params: AttractionParams | None, cfg: FcmConfig,
             iterations += 1
             if shift < cfg.tolerance:
                 break
+    check_membership(u)
     return SegmentationResult(
         membership=u, centers=centers, labels=ctx.labels_volume(np.argmax(u, axis=1)),
         feature_weight=weights[0], spatial_weight=weights[1],
@@ -103,12 +104,16 @@ def ifcm(domain, params: AttractionParams, init,
     """Attraction-distance clustering at fixed weights.
 
     ``domain`` is a single-slice volume, a plane context, or a slice
-    context; ``init`` is the (membership, centers) start state, typically
-    those of a :func:`voxseg.fcm.gmm_fcm` fit.
+    context; ``init`` is the (membership, centers) start state, or the
+    :class:`voxseg.fcm.FcmResult` of a :func:`voxseg.fcm.gmm_fcm` fit.
     """
     cfg = cfg or FcmConfig()
     started = time.perf_counter()
     ctx = _context(domain, params)
+    if isinstance(init, FcmResult):
+        init = (init.membership, init.centers)
+    if not isinstance(init, (tuple, list)) or len(init) != 2:
+        raise ValidationError("init must be a (membership, centers) pair or an FcmResult")
     u, centers = init
     u = np.asarray(u, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64).ravel()
@@ -141,6 +146,7 @@ def _tuned(build, clusters: int, cfg: FcmConfig | None, params: AttractionParams
                         seed_points=[(0.0, 0.0)])
         weights = (float(best.position[0]), float(best.position[1]))
         u, centers, _ = propagate(*weights)
+        del propagate, state  # the probe's frozen terms would outlive the search
     tuned = replace(params, feature_weight=weights[0], spatial_weight=weights[1])
     return _converge(ctx, u, centers, tuned, cfg, started)
 

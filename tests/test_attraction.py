@@ -1,5 +1,7 @@
 """Neighbourhood attraction terms against hand-rolled accumulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,81 @@ def test_slice_terms_brute_force(zi):
             assert np.allclose(h, bh, atol=1e-12)
             assert np.allclose(f, bf, atol=1e-12)
             assert np.all((h >= 0) & (h <= 1)) and np.all((f >= 0) & (f <= 1))
+
+
+def reference_terms(grid, z, shells, weights, u, centers, fuzziness):
+    """Frozen voxel-major (nx, ny, c) gather, the bit-level reference."""
+    nx, ny, nz = grid.shape
+    c = centers.size
+
+    def ratio(vote, den):
+        out = np.divide(vote, den[..., None], out=np.zeros_like(vote), where=den[..., None] > 0)
+        return np.clip(out, 0.0, 1.0)
+
+    members = {z: u.reshape(nx, ny, c, order="F")}
+    for zk in range(nz):
+        d2 = (grid[:, :, zk].ravel(order="F")[:, None] - centers) ** 2
+        members.setdefault(zk, update_membership(d2, fuzziness).reshape(nx, ny, c, order="F"))
+    h = f = 0.0
+    weight_present = np.zeros((nx, ny))
+    for w, shell in zip(weights, shells):
+        contrast_vote, prox_vote = np.zeros((nx, ny, c)), np.zeros((nx, ny, c))
+        contrast_sum, prox_sum = np.zeros((nx, ny)), np.zeros((nx, ny))
+        reached = np.zeros((nx, ny), dtype=bool)
+        for dx, dy, dz in shell:
+            tx, ty = slice(max(0, -dx), nx - max(0, dx)), slice(max(0, -dy), ny - max(0, dy))
+            if not 0 <= z + dz < nz or tx.start >= tx.stop or ty.start >= ty.stop:
+                continue
+            sx, sy = slice(tx.start + dx, tx.stop + dx), slice(ty.start + dy, ty.stop + dy)
+            g = np.abs(grid[tx, ty, z] - grid[sx, sy, z + dz])
+            q2 = float(dx * dx + dy * dy + dz * dz) ** 2
+            contrast_sum[tx, ty] += g
+            prox_sum[tx, ty] += q2
+            reached[tx, ty] = True
+            nb = members[z + dz][sx, sy]
+            contrast_vote[tx, ty] += nb * g[..., None]
+            prox_vote[tx, ty] += nb ** 2 * q2
+        h = h + w * ratio(contrast_vote, contrast_sum)
+        f = f + w * ratio(prox_vote, prox_sum)
+        weight_present += w * reached
+    renorm = np.where(weight_present > 0, weight_present, 1.0)[..., None]
+    h = np.clip(h / renorm, 0.0, 1.0)
+    f = np.clip(f / renorm, 0.0, 1.0)
+    return h.reshape(nx * ny, c, order="F"), f.reshape(nx * ny, c, order="F")
+
+
+@pytest.mark.parametrize("c", range(1, 10))
+def test_terms_bit_identical_to_reference(c):
+    # quantised intensities give flat patches (zero contrast denominators);
+    # on the one-voxel-wide volume whole shells are clipped away, so the
+    # renormaliser is not 1; c >= 8 differs only through the other planes'
+    # membership row sums
+    rng = np.random.default_rng(30 + c)
+    grid = np.round(rng.uniform(0, 6, size=(9, 7, 7))) * 40.0
+    centers = np.sort(rng.uniform(0, 240, size=c))
+    u = rng.uniform(0, 1, size=(63, c)) ** 3
+    u[::5] = np.eye(c)[rng.integers(0, c, size=len(u[::5]))]
+    u /= u.sum(axis=1, keepdims=True)
+    cases = [(PlaneContext(grid[:, :, 2], level), (np.column_stack(
+        [neighborhood_2d(level), np.zeros(len(neighborhood_2d(level)), dtype=int)]),), (1.0,))
+        for level in (2, 3, 4)]
+    for width in (9, 1):
+        vol = Volume((width, 7, 7), grid[:width], 240.0)
+        cases += [(slice_context(vol, SliceRef("z", zi), depth, 1.3),
+                   build_shell_table(depth).shells, decay_weights(1.3, depth))
+                  for depth in (2, 3, 4, 5) for zi in (0, 3, 6)]
+    for ctx, shells, weights in cases:
+        uc = u[:ctx.data.size]
+        for m in (1.5, 2.0, 3.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                h, f = ctx.attraction_terms(uc, centers, m)
+            rh, rf = reference_terms(ctx.grid, ctx.z, shells, weights, uc, centers, m)
+            if c < 8:
+                assert np.array_equal(h, rh) and np.array_equal(f, rf)
+            else:
+                assert np.allclose(h, rh, rtol=0.0, atol=1e-15)
+                assert np.allclose(f, rf, rtol=0.0, atol=1e-15)
 
 
 def test_slice_context_axis_equivalence():

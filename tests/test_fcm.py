@@ -1,5 +1,7 @@
 """Clustering primitives against closed forms and a reference iteration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,44 @@ def test_membership_validation():
         update_membership(np.array([[-1.0, 2.0]]), 2.0)
     with pytest.raises(ValidationError):
         update_membership(np.array([[np.inf, 2.0]]), 2.0)
+
+
+def reference_membership(d2, m):
+    """Frozen row-masked membership update, the bit-level reference."""
+    n, c = d2.shape
+    u = np.zeros((n, c))
+    zero = d2 == 0.0
+    hit = zero.any(axis=1)
+    if hit.any():
+        u[np.flatnonzero(hit), np.argmax(zero[hit], axis=1)] = 1.0
+    rest = ~hit
+    if rest.any():
+        d = np.sqrt(d2[rest])
+        w = (d / d.min(axis=1, keepdims=True)) ** (-2.0 / (m - 1.0))
+        u[rest] = w / w.sum(axis=1, keepdims=True)
+    return u
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("c", range(1, 10))
+def test_membership_bit_identical_to_reference(c, m):
+    rng = np.random.default_rng(c)
+    d2 = rng.uniform(0.0, 1e4, size=(600, c)) ** rng.uniform(0.5, 2.0, size=(600, 1))
+    d2[::7, rng.integers(0, c)] = 0.0                      # one zero distance
+    d2[3::11, :] = np.where(rng.random((len(d2[3::11]), c)) < 0.5, 0.0, 5.0)
+    d2[5] = 0.0                                             # all distances zero
+    ref = reference_membership(d2, m)
+    # column-major distances (attraction-scaled ones can be) still give
+    # row-major memberships, which later column sums rely on
+    for layout in (d2, np.asfortranarray(d2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = update_membership(layout, m)
+        if c < 8:
+            assert np.array_equal(u, ref)
+        else:  # numpy sums rows of 8 or more with unrolled accumulators
+            assert np.allclose(u, ref, rtol=0.0, atol=1e-15)
+        assert u.flags.c_contiguous
 
 
 def test_jm_cost_brute_force():
@@ -242,6 +282,57 @@ def test_gmm_init_validation():
         gmm_init(np.array([1.0, 1.0, 1.0]), 2)
     with pytest.raises(ValidationError):
         gmm_init(np.array([1.0, 2.0]), 0)
+
+
+def reference_gmm_init(data, c, scale=None):
+    """Frozen GMM seeding with the row-reduced E-step, the bit-level reference."""
+    data = np.asarray(data, dtype=np.float64).ravel()
+    if c == 1:
+        return np.array([data.mean()])
+    scale = scale or float(np.max(np.abs(data))) or 1.0
+    var_floor = (1e-4 * float(scale)) ** 2
+    mu = np.quantile(data, np.linspace(0.0, 1.0, c))
+    if np.unique(mu).size < c:
+        mu = np.linspace(float(data.min()), float(data.max()), c)
+    var = np.full(c, max(float(data.var()), var_floor))
+    weight = np.full(c, 1.0 / c)
+    prev_ll = -np.inf
+    for _ in range(100):
+        log_wp = np.log(weight) - 0.5 * ((data[:, None] - mu) ** 2 / var
+                                         + np.log(2.0 * np.pi * var))
+        top = log_wp.max(axis=1)
+        norm = top + np.log(np.exp(log_wp - top[:, None]).sum(axis=1))
+        resp = np.exp(log_wp - norm[:, None])
+        ll = float(norm.sum())
+        if abs(ll - prev_ll) < 1e-6:
+            break
+        prev_ll = ll
+        mass = resp.sum(axis=0)
+        alive = mass > 1e-12
+        safe = np.where(alive, mass, 1.0)
+        mu = np.where(alive, (resp * data[:, None]).sum(axis=0) / safe, mu)
+        var = np.where(
+            alive,
+            np.maximum((resp * (data[:, None] - mu) ** 2).sum(axis=0) / safe, var_floor),
+            var)
+        weight = np.maximum(mass / data.size, 1e-12)
+        weight = weight / weight.sum()
+    return np.sort(mu)
+
+
+@pytest.mark.parametrize("c", range(1, 10))
+def test_gmm_init_bit_identical_to_reference(c):
+    rng = np.random.default_rng(c)
+    data = np.concatenate([rng.normal(30.0 * k, 4.0 + k, 250) for k in range(c)]
+                          + [np.zeros(400)])                # a dominant value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = gmm_init(data, c, scale=255.0)
+    ref = reference_gmm_init(data, c, scale=255.0)
+    if c < 8:
+        assert np.array_equal(mu, ref)
+    else:
+        assert np.allclose(mu, ref, rtol=1e-12, atol=0.0)
 
 
 def test_gmm_fcm_clean_slice_exact():

@@ -77,6 +77,37 @@ def test_ifcm_requires_init():
         ifcm(sl, AttractionParams(), init=(bad_u, np.array([1.0, 2.0, 3.0, 4.0])))
 
 
+def test_ifcm_accepts_fcm_result():
+    vol, _ = generate_phantom(PhantomSpec(dims=(16, 16, 16), num_shells=2))
+    sl = extract_slice(vol, SliceRef("z", 8))
+    base = gmm_fcm(sl, 2, CFG)
+    params = AttractionParams(feature_weight=0.5, spatial_weight=0.5)
+    a = ifcm(sl, params, base)
+    b = ifcm(sl, params, (base.membership, base.centers))
+    assert np.array_equal(a.membership, b.membership)
+    assert np.array_equal(a.centers, b.centers)
+
+
+@pytest.mark.parametrize("init", [(1, 2, 3), None, np.ones((256, 2)) / 2],
+                         ids=["triple", "none", "array"])
+def test_ifcm_rejects_init_that_is_not_a_pair(init):
+    vol, _ = generate_phantom(PhantomSpec(dims=(16, 16, 16), num_shells=2))
+    sl = extract_slice(vol, SliceRef("z", 8))
+    with pytest.raises(ValidationError):
+        ifcm(sl, AttractionParams(), init)
+
+
+def test_converge_rejects_invalid_membership(monkeypatch):
+    # the result builder checks the memberships it reports at run time
+    vol, _ = generate_phantom(PhantomSpec(dims=(16, 16, 16), num_shells=2))
+    sl = extract_slice(vol, SliceRef("z", 8))
+    base = gmm_fcm(sl, 2, CFG)
+    monkeypatch.setattr("voxseg.pipelines.ifcm_step",
+                        lambda ctx, u, centers, params, cfg: (2.0 * u, centers, 0.0))
+    with pytest.raises(ValidationError, match="membership"):
+        ifcm(sl, AttractionParams(0.5, 0.5), base)
+
+
 def test_search_never_loses_to_no_attraction():
     # the no-attraction point is planted in the swarm, so the tuned
     # objective can only match or beat it
