@@ -14,9 +14,9 @@ radius below ``2**(level-1)``.  In 3-D the neighbours of a slice voxel
 are grouped into concentric shells that reach into adjacent slices of
 the parent volume; per-shell averages are blended with exponentially
 decaying weights.  Neighbourhoods are clipped at the volume boundary
-(no padding); a shell clipped away entirely hands its weight to the
-surviving shells.  The 2-D case is the one-shell, dz = 0 case of the 3-D
-one, so both run through the same context and accumulation loop.
+(a zero border adds exact zeros); a shell clipped away entirely hands its
+weight to the surviving shells.  The 2-D case is the one-shell, dz = 0
+case of the 3-D one, so both run through the same context and gather.
 """
 
 from __future__ import annotations
@@ -123,28 +123,17 @@ def build_shell_table(depth: int) -> ShellTable:
     return ShellTable(tuple(shells), bands)
 
 
-def _windows(nx: int, ny: int, dx: int, dy: int):
-    """Target / source slice pairs covering voxels whose (dx, dy) neighbour
-    stays in bounds; None when no voxel qualifies."""
-    tx0, tx1 = max(0, -dx), nx - max(0, dx)
-    ty0, ty1 = max(0, -dy), ny - max(0, dy)
-    if tx0 >= tx1 or ty0 >= ty1:
-        return None
-    target = (slice(tx0, tx1), slice(ty0, ty1))
-    source = (slice(tx0 + dx, tx1 + dx), slice(ty0 + dy, ty1 + dy))
-    return target, source
+# Voxels per band of the gather: a (c, band) float64 buffer at a handful
+# of clusters stays within the L2 cache.
+_BAND = 8192
 
 
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den with zero denominators mapping to zero (flat patches
-    attract nothing), clipped to [0, 1] to shed division dust."""
-    out = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return np.clip(out, 0.0, 1.0, out=out)
-
-
-def _cluster_major(u: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """(n, c) memberships of one plane as (c, nx, ny), x fastest."""
-    return np.ascontiguousarray(u.T).reshape((u.shape[1],) + shape, order="F")
+def _padded(a: np.ndarray, pad: int) -> np.ndarray:
+    """(..., ny, nx) planes inside a zero border of width ``pad``, each flat."""
+    ny, nx = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (ny + 2 * pad, nx + 2 * pad))
+    out[..., pad:pad + ny, pad:pad + nx] = a
+    return out.reshape(a.shape[:-2] + (-1,))
 
 
 class NeighbourContext:
@@ -153,93 +142,141 @@ class NeighbourContext:
     The clustering state covers plane z; neighbours in other planes of
     the stack contribute their intensities directly and their memberships
     through the plain membership update against the current centers.
-    Everything that does not depend on memberships - the in-bounds
-    windows of each offset, q^2, each shell's contrast and proximity
-    denominators and the renormaliser over the shells that reach each
-    voxel - is built once here, so each :meth:`attraction_terms` call only
-    gathers membership votes.  It gathers them cluster-major, as (c, nx, ny)
-    planes with x fastest, so numpy runs one long loop per offset instead
-    of a c-wide loop per voxel; every voxel gets its votes in the same order.
+
+    Every plane the shells reach is stored flat, x fastest, inside a zero
+    border as wide as the largest in-plane offset r, so the row length is
+    NX = nx + 2r and offset (dx, dy, dz) is the flat shift dx + NX*dy into
+    plane z + dz.  A neighbour outside the plane reads membership 0 and adds
+    exactly +0.0 to a vote, so each in-bounds voxel gets the votes of the
+    clipped neighbourhood in the same order.  Everything that does not
+    depend on memberships - each shell's contrast and proximity
+    denominators and the renormaliser over the shells that reach each voxel
+    - is built once here with the same shifts, times a padded inside-mask
+    (1.0 or 0.0, so exact).
+
+    :meth:`attraction_terms` writes the memberships into padded buffers of
+    the same layout, one (c, NX*(ny + 2r)) array per plane, and gathers the
+    votes in bands of at most ``_BAND`` voxels, so the working set stays in
+    cache: per band it squares each plane's membership window once and
+    reuses the squares for every offset into that plane.
     """
 
-    def __init__(self, grid: np.ndarray, z: int, shells, weights,
+    def __init__(self, planes: np.ndarray, z: int, shells, weights,
                  label_dims: tuple[int, int, int], unit_axis: int,
                  intensity_max: float | None):
-        self.grid = grid
-        self.z = z
-        self.plane = grid[:, :, z]
-        self.shape = self.plane.shape
-        self.data = self.plane.ravel(order="F")
+        nx, ny, nz = planes.shape
+        self.shape = (nx, ny)
+        self.data = planes[:, :, z].ravel(order="F").copy()
         self.offsets = np.concatenate(shells)
         self.label_dims = label_dims
         self.unit_axis = unit_axis
         self.intensity_max = intensity_max
-        nx, ny = self.shape
+        self._z = z
+        self._pad = pad = int(np.abs(self.offsets[:, :2]).max())
+        self._row = row = nx + 2 * pad
+        # the largest shift; flat positions [reach, size - reach) hold every voxel
+        self._reach = reach = pad + row * pad
+        live = [[(int(dx), int(dy), int(dz)) for dx, dy, dz in shell
+                 if 0 <= z + dz < nz and abs(dx) < nx and abs(dy) < ny]
+                for shell in shells]
+        self._planes = {zk: _padded(planes[:, :, zk].T, pad)
+                        for zk in sorted({z} | {z + dz for s in live for *_, dz in s})}
+        inside = _padded(np.ones((ny, nx)), pad)
+        centre = self._planes[z][reach:inside.size - reach]
         self._shells = []
-        planes = set()
-        weight_present = np.zeros((nx, ny), order="F")
-        for w, shell in zip(weights, shells):
+        weight_present = np.zeros_like(centre)
+        for w, shell in zip(weights, live):
             entries = []
-            contrast_sum = np.zeros((nx, ny), order="F")
-            prox_sum = np.zeros((nx, ny), order="F")
-            reached = np.zeros((nx, ny), dtype=bool, order="F")
+            contrast_sum, prox_sum = np.zeros_like(centre), np.zeros_like(centre)
             for dx, dy, dz in shell:
-                zk = z + int(dz)
-                win = _windows(nx, ny, int(dx), int(dy))
-                if not 0 <= zk < grid.shape[2] or win is None:
-                    continue
-                target, source = win
+                s = dx + row * dy
                 q2 = float(dx * dx + dy * dy + dz * dz) ** 2
-                contrast_sum[target] += self._contrast(target, source, zk)
-                prox_sum[target] += q2
-                reached[target] = True
-                entries.append((target, source, zk, q2))
-                planes.add(zk)
-            self._shells.append((w, entries, contrast_sum, prox_sum))
-            weight_present += w * reached
-        # shells clipped away at the boundary hand their weight to the rest;
-        # a voxel no shell reaches has zero votes, and dividing by one keeps them
+                shifted = slice(reach + s, inside.size - reach + s)
+                contrast_sum += np.abs(centre - self._planes[z + dz][shifted]) * inside[shifted]
+                prox_sum += q2 * inside[shifted]
+                entries.append((s, z + dz, q2))
+            # where a denominator is zero every vote adds exactly zero, and
+            # dividing by one keeps it; likewise a voxel no shell reaches
+            self._shells.append((w, entries, *(np.where(d > 0, d, 1.0)
+                                               for d in (contrast_sum, prox_sum))))
+            weight_present += w * (prox_sum > 0)  # q^2 > 0: the shell reaches here
+        # shells clipped away at the boundary hand their weight to the rest
         self._renorm = np.where(weight_present > 0, weight_present, 1.0)
-        self._other_planes = sorted(planes - {z})
-
-    def _contrast(self, target, source, zk: int) -> np.ndarray:
-        """g = |x_i - x_k| over ``target`` for the neighbours at ``source`` of plane zk."""
-        return np.abs(self.plane[target] - self.grid[source[0], source[1], zk])
 
     def labels_volume(self, labels_flat: np.ndarray) -> LabelVolume:
         grid = labels_flat.reshape(self.shape, order="F").astype(np.uint8)
         return LabelVolume(self.label_dims, np.expand_dims(grid, self.unit_axis))
 
+    def _padded_members(self, u: np.ndarray, centers: np.ndarray,
+                        fuzziness: float) -> dict[int, np.ndarray]:
+        """Padded memberships per plane: ``u`` in plane z, the plain update elsewhere."""
+        nx, ny = self.shape
+        pad = self._pad
+        members = {}
+        for zk, plane in self._planes.items():
+            u_k = u
+            if zk != self._z:
+                inner = plane.reshape(-1, self._row)[pad:pad + ny, pad:pad + nx].ravel()
+                u_k = update_membership((inner[:, None] - centers) ** 2, fuzziness)
+            members[zk] = _padded(u_k.T.reshape(-1, ny, nx), pad)
+        return members
+
     def attraction_terms(self, u: np.ndarray, centers: np.ndarray,
                          fuzziness: float) -> tuple[np.ndarray, np.ndarray]:
         """Blended contrast (H) and proximity (F) terms, each (n, c)."""
         nx, ny = self.shape
+        n = nx * ny
         centers = np.asarray(centers, dtype=np.float64).ravel()
         c = centers.size
         u = np.asarray(u, dtype=np.float64)
-        if u.shape != (nx * ny, c):
+        if u.shape != (n, c):
             raise ValidationError(f"membership shape {u.shape} does not match "
-                                  f"{nx * ny} voxels x {c} clusters")
-        members = {self.z: _cluster_major(u, self.shape)}
-        for zk in self._other_planes:
-            d2 = (self.grid[:, :, zk].ravel(order="F")[:, None] - centers) ** 2
-            members[zk] = _cluster_major(update_membership(d2, fuzziness), self.shape)
-        every_cluster = (slice(None),)
-        h, f = np.zeros_like(members[self.z]), np.zeros_like(members[self.z])
-        contrast_vote, prox_vote = np.empty_like(h), np.empty_like(h)
-        for w, entries, contrast_sum, prox_sum in self._shells:
-            contrast_vote.fill(0.0)
-            prox_vote.fill(0.0)
-            for target, source, zk, q2 in entries:
-                nb = members[zk][every_cluster + source]
-                contrast_vote[every_cluster + target] += nb * self._contrast(target, source, zk)
-                prox_vote[every_cluster + target] += nb ** 2 * q2
-            h += w * _ratio(contrast_vote, contrast_sum)
-            f += w * _ratio(prox_vote, prox_sum)
-        h = np.clip(h / self._renorm, 0.0, 1.0)
-        f = np.clip(f / self._renorm, 0.0, 1.0)
-        return (h.reshape(c, nx * ny, order="F").T,
-                f.reshape(c, nx * ny, order="F").T)
+                                  f"{n} voxels x {c} clusters")
+        h, f = self._gather(self._padded_members(u, centers, fuzziness), c)
+        return tuple(np.ascontiguousarray(t.reshape(c, ny, self._row)[:, :, :nx]).reshape(c, n).T
+                     for t in (h, f))
+
+    def _gather(self, members: dict[int, np.ndarray], c: int) -> tuple[np.ndarray, np.ndarray]:
+        """H and F over the padded rows, band by band; border columns stay 0."""
+        nx, ny = self.shape
+        n = nx * ny
+        pad, reach = self._pad, self._reach
+        h, f = np.zeros((c, ny * self._row)), np.zeros((c, ny * self._row))
+        centre = self._planes[self._z][reach:]
+
+        def core(i):  # position of voxel i among the padded rows
+            return i + i // nx * 2 * pad
+
+        size = -(-n // -(-n // _BAND))  # even bands of at most _BAND voxels
+        bands = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+        width = max(core(hi - 1) - core(lo) + 1 for lo, hi in bands)
+        contrast_vote, prox_vote, scratch = np.empty((3, c, width))
+        contrast = np.empty(width)
+        squares = {zk: np.empty((c, width + 2 * reach)) for zk in members}
+        for lo, hi in bands:
+            start, stop = core(lo), core(hi - 1) + 1
+            span = stop - start
+            cv, pv, tmp, g = (contrast_vote[:, :span], prox_vote[:, :span],
+                              scratch[:, :span], contrast[:span])
+            for zk, m in members.items():
+                np.square(m[:, start:stop + 2 * reach], out=squares[zk][:, :span + 2 * reach])
+            hb, fb = h[:, start:stop], f[:, start:stop]
+            for w, entries, contrast_den, prox_den in self._shells:
+                cv.fill(0.0)
+                pv.fill(0.0)
+                for s, zk, q2 in entries:
+                    at = slice(start + reach + s, stop + reach + s)
+                    np.abs(np.subtract(centre[start:stop], self._planes[zk][at], out=g), out=g)
+                    cv += np.multiply(members[zk][:, at], g, out=tmp)
+                    sq = squares[zk][:, reach + s:reach + s + span]
+                    pv += sq if q2 == 1.0 else np.multiply(sq, q2, out=tmp)
+                # ratios are never negative, so clipping to [0, 1] is a minimum
+                for vote, den, out in ((cv, contrast_den, hb), (pv, prox_den, fb)):
+                    np.divide(vote, den[start:stop], out=vote)
+                    out += np.multiply(np.minimum(vote, 1.0, out=vote), w, out=vote)
+            for out in (hb, fb):
+                np.minimum(np.divide(out, self._renorm[start:stop], out=out), 1.0, out=out)
+        return h, f
 
 
 class PlaneContext(NeighbourContext):

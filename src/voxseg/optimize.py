@@ -3,6 +3,10 @@
 Both are fully seeded and evaluate candidates in index order, with the
 global best resolved by lowest particle index on ties, so repeated runs
 with the same seed reproduce every trace value bit for bit.
+
+The objective must be deterministic: each run evaluates a position only
+the first time it appears and reuses that value when the swarm or the
+population lands on exactly the same position again.
 """
 
 from __future__ import annotations
@@ -25,8 +29,14 @@ def _check_bounds(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _evaluate(func: Callable, points: np.ndarray) -> np.ndarray:
-    values = np.array([float(func(p)) for p in points])
+def _evaluate(func: Callable, points: np.ndarray, seen: dict) -> np.ndarray:
+    """Values of ``points`` in index order, each new position's cached in ``seen``."""
+    values = np.empty(len(points))
+    for i, p in enumerate(points):
+        key = p.tobytes()
+        if key not in seen:
+            seen[key] = float(func(p))
+        values[i] = seen[key]
     if not np.all(np.isfinite(values)):
         bad = points[int(np.flatnonzero(~np.isfinite(values))[0])]
         raise RuntimeError(f"objective returned a non-finite value at {bad.tolist()}")
@@ -93,7 +103,7 @@ def pso_minimize(func: Callable[[np.ndarray], float], cfg: PsoConfig,
     lo, hi = _check_bounds(cfg.bounds)
     span = hi - lo
     size, dim = int(cfg.swarm_size), lo.size
-    rng = np.random.default_rng(cfg.seed)
+    rng, seen = np.random.default_rng(cfg.seed), {}
 
     x = lo + rng.random((size, dim)) * span
     for row, point in enumerate(seed_points):
@@ -102,7 +112,7 @@ def pso_minimize(func: Callable[[np.ndarray], float], cfg: PsoConfig,
         x[row] = np.clip(np.asarray(point, dtype=np.float64), lo, hi)
     v = rng.uniform(-span, span, (size, dim))
 
-    fx = _evaluate(func, x)
+    fx = _evaluate(func, x, seen)
     pbest = x.copy()
     pbest_val = fx.copy()
     leader = int(np.argmin(pbest_val))
@@ -115,7 +125,7 @@ def pso_minimize(func: Callable[[np.ndarray], float], cfg: PsoConfig,
         rg = rng.random((size, dim))
         v = cfg.omega * v + cfg.phip * rp * (pbest - x) + cfg.phig * rg * (gbest - x)
         x = np.clip(x + v, lo, hi)
-        fx = _evaluate(func, x)
+        fx = _evaluate(func, x, seen)
         better = fx < pbest_val
         pbest[better] = x[better]
         pbest_val[better] = fx[better]
@@ -170,7 +180,7 @@ def ga_minimize(func: Callable[[np.ndarray], float], cfg: GaConfig,
     lo, hi = _check_bounds(cfg.bounds)
     span = hi - lo
     size, dim = int(cfg.population), lo.size
-    rng = np.random.default_rng(cfg.seed)
+    rng, seen = np.random.default_rng(cfg.seed), {}
     sigma = cfg.mutation_sigma * span
 
     pop = lo + rng.random((size, dim)) * span
@@ -178,7 +188,7 @@ def ga_minimize(func: Callable[[np.ndarray], float], cfg: GaConfig,
         if row >= size:
             break
         pop[row] = np.clip(np.asarray(point, dtype=np.float64), lo, hi)
-    fit = _evaluate(func, pop)
+    fit = _evaluate(func, pop, seen)
     elite_idx = int(np.argmin(fit))
     best = pop[elite_idx].copy()
     best_val = float(fit[elite_idx])
@@ -204,7 +214,7 @@ def ga_minimize(func: Callable[[np.ndarray], float], cfg: GaConfig,
                 child = child + np.where(hit, rng.normal(0.0, sigma, dim), 0.0)
                 offspring.append(np.clip(child, lo, hi))
         pop = np.stack(offspring)
-        fit = _evaluate(func, pop)
+        fit = _evaluate(func, pop, seen)
         elite_idx = int(np.argmin(fit))
         if fit[elite_idx] < best_val:
             best = pop[elite_idx].copy()

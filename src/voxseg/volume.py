@@ -53,20 +53,27 @@ class Volume:
         data = np.asarray(self.data, dtype=np.float32)
         if data.shape != dims:
             raise ValidationError(f"data shape {data.shape} does not match dims {dims}")
-        if not np.all(np.isfinite(data)):
+        # NaN propagates through min and max and any infinity is an extreme,
+        # so two reductions check every voxel without full-size temporaries
+        lowest, highest = float(data.min()), float(data.max())
+        if not (np.isfinite(lowest) and np.isfinite(highest)):
             raise ValidationError("intensities must be finite")
-        if np.any(data < 0):
+        if lowest < 0:
             raise ValidationError("intensities must be non-negative")
         # round-trips through the f32 header field must be exact
         imax = float(np.float32(self.intensity_max))
         if not np.isfinite(imax) or imax <= 0:
             raise ValidationError("intensity_max must be positive and finite")
-        if imax < float(data.max()):
+        if imax < highest:
             raise ValidationError(
-                f"intensity_max {imax} is below the largest intensity {float(data.max())}"
+                f"intensity_max {imax} is below the largest intensity {highest}"
             )
-        data = data.copy()
-        data.flags.writeable = False
+        memory = data
+        while isinstance(memory, np.ndarray):
+            memory = memory.base
+        if not isinstance(memory, bytes):  # only a bytes object can never change
+            data = data.copy()
+            data.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "intensity_max", imax)
@@ -206,38 +213,41 @@ def save_volume(v: Volume | LabelVolume, path) -> None:
 
 
 def _load(path):
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: not a VXF file (bad magic)")
-    if len(raw) < 4 + _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    dtype, nx, ny, nz = _HEADER.unpack_from(raw, 4)
-    offset = 4 + _HEADER.size
-    if dtype == _DTYPE_INTENSITY:
-        if len(raw) < offset + 4:
+    # the payload is read once, into the bytes object an intensity volume keeps
+    size = Path(path).stat().st_size
+    with open(path, "rb") as fh:
+        head = fh.read(4 + _HEADER.size + 4)
+        if len(head) < 4 or head[:4] != _MAGIC:
+            raise FormatError(f"{path}: not a VXF file (bad magic)")
+        if len(head) < 4 + _HEADER.size:
             raise FormatError(f"{path}: truncated header")
-        (imax,) = struct.unpack_from("<f", raw, offset)
-        offset += 4
-        itemsize = 4
-    elif dtype == _DTYPE_LABELS:
-        imax = None
-        itemsize = 1
-    else:
-        raise FormatError(f"{path}: unknown dtype code {dtype}")
-    if min(nx, ny, nz) < 1:
-        raise FormatError(f"{path}: non-positive dims {(nx, ny, nz)}")
-    count = nx * ny * nz
-    expected = offset + count * itemsize
-    if len(raw) < expected:
-        raise OSError(f"{path}: truncated payload "
-                      f"({len(raw) - offset} of {count * itemsize} bytes)")
-    if len(raw) > expected:
-        raise FormatError(f"{path}: {len(raw) - expected} trailing bytes after payload")
+        dtype, nx, ny, nz = _HEADER.unpack_from(head, 4)
+        offset = 4 + _HEADER.size
+        if dtype == _DTYPE_INTENSITY:
+            if len(head) < offset + 4:
+                raise FormatError(f"{path}: truncated header")
+            (imax,) = struct.unpack_from("<f", head, offset)
+            offset += 4
+            itemsize = 4
+        elif dtype == _DTYPE_LABELS:
+            imax = None
+            itemsize = 1
+        else:
+            raise FormatError(f"{path}: unknown dtype code {dtype}")
+        if min(nx, ny, nz) < 1:
+            raise FormatError(f"{path}: non-positive dims {(nx, ny, nz)}")
+        count = nx * ny * nz
+        expected = offset + count * itemsize
+        if size < expected:
+            raise OSError(f"{path}: truncated payload "
+                          f"({size - offset} of {count * itemsize} bytes)")
+        if size > expected:
+            raise FormatError(f"{path}: {size - expected} trailing bytes after payload")
+        fh.seek(offset)
+        raw = fh.read(count * itemsize)
     if dtype == _DTYPE_LABELS:
-        flat = np.frombuffer(raw, dtype="<u1", count=count, offset=offset)
-        return LabelVolume.from_flat((nx, ny, nz), flat)
-    flat = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    return Volume.from_flat((nx, ny, nz), flat, imax)
+        return LabelVolume.from_flat((nx, ny, nz), np.frombuffer(raw, dtype="<u1"))
+    return Volume.from_flat((nx, ny, nz), np.frombuffer(raw, dtype="<f4"), imax)
 
 
 def load_volume(path) -> Volume:

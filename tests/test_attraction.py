@@ -1,10 +1,12 @@
 """Neighbourhood attraction terms against hand-rolled accumulation."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from voxseg import attraction
 from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, PlaneContext,
                                attraction_distances, build_shell_table,
                                decay_weights, ifcm_step, neighborhood_2d,
@@ -269,8 +271,7 @@ def reference_terms(grid, z, shells, weights, u, centers, fuzziness):
     return h.reshape(nx * ny, c, order="F"), f.reshape(nx * ny, c, order="F")
 
 
-@pytest.mark.parametrize("c", range(1, 10))
-def test_terms_bit_identical_to_reference(c):
+def check_terms_against_reference(c):
     # quantised intensities give flat patches (zero contrast denominators);
     # on the one-voxel-wide volume whole shells are clipped away, so the
     # renormaliser is not 1; c >= 8 differs only through the other planes'
@@ -281,26 +282,57 @@ def test_terms_bit_identical_to_reference(c):
     u = rng.uniform(0, 1, size=(63, c)) ** 3
     u[::5] = np.eye(c)[rng.integers(0, c, size=len(u[::5]))]
     u /= u.sum(axis=1, keepdims=True)
-    cases = [(PlaneContext(grid[:, :, 2], level), (np.column_stack(
+    cases = [(PlaneContext(grid[:, :, 2], level), grid, 2, (np.column_stack(
         [neighborhood_2d(level), np.zeros(len(neighborhood_2d(level)), dtype=int)]),), (1.0,))
         for level in (2, 3, 4)]
     for width in (9, 1):
         vol = Volume((width, 7, 7), grid[:width], 240.0)
-        cases += [(slice_context(vol, SliceRef("z", zi), depth, 1.3),
+        cases += [(slice_context(vol, SliceRef("z", zi), depth, 1.3), grid[:width], zi,
                    build_shell_table(depth).shells, decay_weights(1.3, depth))
                   for depth in (2, 3, 4, 5) for zi in (0, 3, 6)]
-    for ctx, shells, weights in cases:
+    for ctx, planes, z, shells, weights in cases:
         uc = u[:ctx.data.size]
         for m in (1.5, 2.0, 3.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 h, f = ctx.attraction_terms(uc, centers, m)
-            rh, rf = reference_terms(ctx.grid, ctx.z, shells, weights, uc, centers, m)
+            rh, rf = reference_terms(planes, z, shells, weights, uc, centers, m)
             if c < 8:
                 assert np.array_equal(h, rh) and np.array_equal(f, rf)
             else:
                 assert np.allclose(h, rh, rtol=0.0, atol=1e-15)
                 assert np.allclose(f, rf, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("c", range(1, 10))
+def test_terms_bit_identical_to_reference(c):
+    check_terms_against_reference(c)
+
+
+@pytest.mark.parametrize("c", range(1, 10))
+@pytest.mark.parametrize("band", [1, 7, 64])
+def test_banded_terms_bit_identical_to_reference(monkeypatch, band, c):
+    # rows are 9 or 1 voxels long: bands of 7 end mid-row, and 63 voxels
+    # leave a short last band
+    monkeypatch.setattr(attraction, "_BAND", band)
+    check_terms_against_reference(c)
+
+
+def test_terms_memory_at_paper_size():
+    # one depth-3 call on a 181x217 slice: no full-size vote buffers or
+    # per-offset temporaries, only the padded memberships and the results
+    rng = np.random.default_rng(5)
+    vol = Volume((181, 217, 3), rng.uniform(0, 100, size=(181, 217, 3)), 100.0)
+    ctx = slice_context(vol, SliceRef("z", 1), 3, 1.5)
+    u = rng.uniform(0, 1, size=(ctx.data.size, 4))
+    u /= u.sum(axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        ctx.attraction_terms(u, np.array([10.0, 40.0, 60.0, 90.0]), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * u.nbytes
 
 
 def test_slice_context_axis_equivalence():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from voxseg import optimize
 from voxseg.errors import ValidationError
 from voxseg.optimize import GaConfig, PsoConfig, ga_minimize, pso_minimize
 
@@ -128,3 +129,46 @@ def test_ga_config_validation():
         GaConfig(crossover_rate=1.5)
     with pytest.raises(ValidationError):
         GaConfig(mutation_sigma=0.0)
+
+
+def unmemoised(func, points, seen):
+    """Reference evaluation: every position, repeated or not."""
+    values = np.array([float(func(p)) for p in points])
+    if not np.all(np.isfinite(values)):
+        bad = points[int(np.flatnonzero(~np.isfinite(values))[0])]
+        raise RuntimeError(f"objective returned a non-finite value at {bad.tolist()}")
+    return values
+
+
+@pytest.mark.parametrize("minimize, cfg", [
+    (pso_minimize, PsoConfig(swarm_size=12, max_iter=15, seed=3)),
+    (ga_minimize, GaConfig(population=12, generations=15, seed=3))])
+def test_each_distinct_candidate_evaluated_once(monkeypatch, minimize, cfg):
+    # the optimum sits on a corner of the unit box, so clamping makes the
+    # swarm and the population land on exactly the same positions again
+    def objective(p):
+        calls.append(p.tobytes())
+        return float(-p.sum() + 0.1 * np.sin(7 * p[0]))
+
+    calls = []
+    memoised = minimize(objective, cfg, seed_points=[(0.0, 0.0)])
+    evaluated = calls
+    calls = []
+    monkeypatch.setattr(optimize, "_evaluate", unmemoised)
+    reference = minimize(objective, cfg, seed_points=[(0.0, 0.0)])
+    assert len(calls) > len(set(calls))
+    assert evaluated == list(dict.fromkeys(calls))
+    assert np.array_equal(memoised.position, reference.position)
+    assert memoised.value == reference.value
+    assert np.array_equal(memoised.trace, reference.trace)
+
+
+@pytest.mark.parametrize("minimize, cfg", [
+    (pso_minimize, PsoConfig(swarm_size=4, max_iter=3)),
+    (ga_minimize, GaConfig(population=4, generations=3))])
+def test_first_non_finite_value_is_reported(minimize, cfg):
+    def objective(p):
+        return np.nan if p[0] > 0.5 else float(p.sum())
+
+    with pytest.raises(RuntimeError, match=r"non-finite value at \[0\.9, 0\.1\]"):
+        minimize(objective, cfg, seed_points=[(0.0, 0.0), (0.9, 0.1)])

@@ -1,5 +1,7 @@
 """Container invariants and the VXF round trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,63 @@ def test_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00\x00")
     with pytest.raises(FormatError):
         load_volume(path)
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.inf, "finite"), (-np.inf, "finite"), (np.nan, "finite"),
+    (-1.0, "non-negative"), (-0.0, None)])
+def test_volume_finite_and_sign_checks(value, message):
+    data = np.ones((2, 3, 2), dtype=np.float32)
+    data[1, 2, 1] = value
+    if message is None:
+        assert Volume((2, 3, 2), data, 1.0).data[1, 2, 1] == 0.0
+        return
+    with pytest.raises(ValidationError, match=message):
+        Volume((2, 3, 2), data, 1.0)
+    data[0, 0, 0] = -5.0  # finiteness is checked before the sign
+    with pytest.raises(ValidationError, match=message):
+        Volume((2, 3, 2), data, 1.0)
+
+
+def test_volume_copies_caller_arrays():
+    data = np.ones((2, 2, 2), dtype=np.float32)
+    v = Volume((2, 2, 2), data, 1.0)
+    data[0, 0, 0] = 0.5
+    assert v.data[0, 0, 0] == 1.0 and not v.data.flags.writeable
+
+
+@pytest.mark.parametrize("labels", [False, True])
+def test_load_errors_name_the_byte_counts(tmp_path, labels):
+    path = tmp_path / "x.vxf"
+    save_volume(LabelVolume((2, 2, 2), np.ones((2, 2, 2), dtype=np.uint8)) if labels
+                else Volume((2, 2, 2), np.ones((2, 2, 2)), 2.0), path)
+    raw = path.read_bytes()
+    payload = 8 if labels else 32
+    path.write_bytes(raw[:-5])
+    with pytest.raises(OSError, match=f"truncated payload \\({payload - 5} of {payload} bytes\\)"):
+        load_labels(path) if labels else load_volume(path)
+    path.write_bytes(raw + b"\x00\x00")
+    with pytest.raises(FormatError, match="2 trailing bytes after payload"):
+        load_labels(path) if labels else load_volume(path)
+    path.write_bytes(raw[:10])
+    with pytest.raises(FormatError, match="truncated header"):
+        load_labels(path) if labels else load_volume(path)
+
+
+def test_load_volume_holds_one_payload(tmp_path):
+    # the payload is read into the buffer the volume keeps: no second copy
+    # and no full-size temporaries from the checks
+    path = tmp_path / "x.vxf"
+    data = np.random.default_rng(4).uniform(0, 100, size=(64, 64, 64)).astype(np.float32)
+    save_volume(Volume((64, 64, 64), data, 100.0), path)
+    tracemalloc.start()
+    try:
+        v = load_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(v.data, data) and not v.data.flags.writeable
+    assert peak < 1.5 * data.nbytes
 
 
 def test_slice_ref_parse():
