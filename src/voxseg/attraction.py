@@ -162,14 +162,12 @@ class NeighbourContext:
     """
 
     def __init__(self, planes: np.ndarray, z: int, shells, weights,
-                 label_dims: tuple[int, int, int], unit_axis: int,
-                 intensity_max: float | None):
+                 label_dims: tuple[int, int, int], intensity_max: float | None):
         nx, ny, nz = planes.shape
         self.shape = (nx, ny)
         self.data = planes[:, :, z].ravel(order="F").copy()
         self.offsets = np.concatenate(shells)
         self.label_dims = label_dims
-        self.unit_axis = unit_axis
         self.intensity_max = intensity_max
         self._z = z
         self._pad = pad = int(np.abs(self.offsets[:, :2]).max())
@@ -204,8 +202,7 @@ class NeighbourContext:
         self._renorm = np.where(weight_present > 0, weight_present, 1.0)
 
     def labels_volume(self, labels_flat: np.ndarray) -> LabelVolume:
-        grid = labels_flat.reshape(self.shape, order="F").astype(np.uint8)
-        return LabelVolume(self.label_dims, np.expand_dims(grid, self.unit_axis))
+        return LabelVolume.from_flat(self.label_dims, labels_flat.astype(np.uint8))
 
     def _padded_members(self, u: np.ndarray, centers: np.ndarray,
                         fuzziness: float) -> dict[int, np.ndarray]:
@@ -285,15 +282,14 @@ class PlaneContext(NeighbourContext):
 
     def __init__(self, plane: np.ndarray, level: int = 2,
                  label_dims: tuple[int, int, int] | None = None,
-                 unit_axis: int = 2, intensity_max: float | None = None):
+                 intensity_max: float | None = None):
         plane = np.asfortranarray(plane, dtype=np.float64)
         if plane.ndim != 2:
             raise ValidationError(f"plane must be 2-D, got shape {plane.shape}")
         flat = neighborhood_2d(level)
         shell = np.column_stack([flat, np.zeros(len(flat), dtype=np.intp)])
         super().__init__(plane[:, :, None], 0, (shell,), (1.0,),
-                         label_dims or (plane.shape[0], plane.shape[1], 1),
-                         unit_axis, intensity_max)
+                         label_dims or (plane.shape[0], plane.shape[1], 1), intensity_max)
 
 
 class SliceContext(NeighbourContext):
@@ -312,14 +308,14 @@ class SliceContext(NeighbourContext):
         lo = max(0, ref.index - reach)
         planes = np.moveaxis(vol.data, axis, 2)[:, :, lo:ref.index + reach + 1]
         super().__init__(planes.astype(np.float64, order="F"), ref.index - lo, shells,
-                         decay_weights(decay, depth), tuple(dims), axis, vol.intensity_max)
+                         decay_weights(decay, depth), tuple(dims), vol.intensity_max)
 
 
 def plane_context(img: Volume | np.ndarray, level: int = 2) -> PlaneContext:
     """Context for a 2-D image given as a single-slice volume or array."""
     if isinstance(img, Volume):
         return PlaneContext(img.plane(), level, label_dims=img.dims,
-                            unit_axis=img.unit_axis(), intensity_max=img.intensity_max)
+                            intensity_max=img.intensity_max)
     return PlaneContext(np.asarray(img), level)
 
 

@@ -10,10 +10,9 @@ same config produce identical reports except for wall-clock columns.
 from __future__ import annotations
 
 import csv
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,32 +138,21 @@ def run_cell(cfg: BenchConfig, algorithm: str, kind: str, percent: float,
         scores = evaluate_labels(result.labels, extract_slice(truth, ref),
                                  cfg.cluster_count, cfg.literal_incs)
     except Exception as exc:  # keep the sweep alive; the row records why
-        row = dict(base)
-        row.update({"cluster": "", "UnS": "", "OS": "", "IncS": "",
-                    "wall_time_ms": _fmt((time.perf_counter() - started) * 1000.0),
-                    "status": f"error: {exc}"})
-        return [row]
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    info = {"iterations": result.iterations}
-    if result.feature_weight is not None:
-        info.update({"lambda": result.feature_weight, "xi": result.spatial_weight})
-    if algorithm == "3dpifcm":
-        info.update({"h": cfg.decay, "v": cfg.depth})
-    base.update({k: _fmt(v) if isinstance(v, float) else v for k, v in info.items()})
-    rows = []
-    if cfg.per_cluster:
-        for entry in scores["per_cluster"]:
-            row = dict(base)
-            row.update({"cluster": entry["cluster"], "UnS": _fmt(entry["uns"]),
-                        "OS": _fmt(entry["os"]), "IncS": _fmt(entry["incs"]),
-                        "wall_time_ms": _fmt(elapsed_ms), "status": "ok"})
-            rows.append(row)
-    row = dict(base)
-    row.update({"cluster": "mean", "UnS": _fmt(scores["mean_uns"]),
-                "OS": _fmt(scores["mean_os"]), "IncS": _fmt(scores["mean_incs"]),
-                "wall_time_ms": _fmt(elapsed_ms), "status": "ok"})
-    rows.append(row)
-    return rows
+        status, lines = f"error: {exc}", [("", "", "", "")]
+    else:
+        status, info = "ok", {"iterations": result.iterations}
+        if result.feature_weight is not None:
+            info.update({"lambda": result.feature_weight, "xi": result.spatial_weight})
+        if algorithm == "3dpifcm":
+            info.update({"h": cfg.decay, "v": cfg.depth})
+        base.update({k: _fmt(v) if isinstance(v, float) else v for k, v in info.items()})
+        lines = [(e["cluster"], e["uns"], e["os"], e["incs"])
+                 for e in (scores["per_cluster"] if cfg.per_cluster else ())]
+        lines.append(("mean", scores["mean_uns"], scores["mean_os"], scores["mean_incs"]))
+    wall_time_ms = _fmt((time.perf_counter() - started) * 1000.0)
+    return [dict(base, cluster=cluster, UnS=_fmt(uns), OS=_fmt(os), IncS=_fmt(incs),
+                 wall_time_ms=wall_time_ms, status=status)
+            for cluster, uns, os, incs in lines]
 
 
 def _cells(cfg: BenchConfig):

@@ -3,8 +3,8 @@
 Subcommands: phantom, noise, segment, eval, bench, sweep.  Global flags
 (--config/--seed/--threads/--quiet) are accepted both before and after
 the subcommand; values from a --config file (key=value lines, keys named
-after the long flags) fill in anything not given explicitly on the
-command line.
+after the long flags or the settings they fill) fill in anything not
+given explicitly on the command line.
 
 Exit codes: 0 on success, 1 for validation problems (bad flags, bad or
 unreadable inputs), 2 for runtime failures.  Output files are written
@@ -15,8 +15,8 @@ partial artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -82,18 +82,15 @@ def _globals(parser, suppress: bool):
                         help="suppress progress output")
 
 
-def _fcm_flags(parser):
+def _method_flags(parser):
     parser.add_argument("--c", "--clusters", dest="clusters", type=int, default=4,
                         help="number of clusters (default 4)")
     parser.add_argument("--m", "--fuzziness", dest="fuzziness", type=float,
                         default=2.0, help="fuzziness exponent (default 2)")
     parser.add_argument("--eps", "--tolerance", dest="tolerance", type=float,
                         default=0.01, help="membership-shift stop threshold")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=150,
+    parser.add_argument("--max-iter", dest="max_iterations", type=int, default=150,
                         help="iteration cap (default 150)")
-
-
-def _attraction_flags(parser):
     parser.add_argument("--L", "--level", dest="level", type=int, default=2,
                         help="2-D neighbourhood level: 2 = 4 neighbours, 3 = 8")
     parser.add_argument("--v", "--depth", dest="depth", type=int, default=3,
@@ -111,11 +108,8 @@ def _attraction_flags(parser):
                         type=float, default=None,
                         help="proximity attraction weight in [0, 1], given with "
                              "--lam and used the same way")
-
-
-def _optimizer_flags(parser):
-    parser.add_argument("--swarm", dest="swarm", type=int, default=50)
-    parser.add_argument("--opt-iters", dest="opt_iters", type=int, default=20,
+    parser.add_argument("--swarm", dest="swarm_size", type=int, default=50)
+    parser.add_argument("--opt-iters", dest="pso_max_iter", type=int, default=20,
                         help="optimizer iterations / generations")
     parser.add_argument("--omega", type=float, default=0.5)
     parser.add_argument("--phip", type=float, default=0.5)
@@ -123,12 +117,28 @@ def _optimizer_flags(parser):
     parser.add_argument("--minstep", type=float, default=1e-8)
     parser.add_argument("--minfunc", type=float, default=1e-8)
     parser.add_argument("--population", type=int, default=50)
-    parser.add_argument("--crossover", dest="crossover", type=float, default=0.8)
-    parser.add_argument("--mutation", dest="mutation", type=float, default=0.1)
+    parser.add_argument("--crossover", dest="crossover_rate", type=float, default=0.8)
+    parser.add_argument("--mutation", dest="mutation_rate", type=float, default=0.1)
     parser.add_argument("--mutation-sigma", dest="mutation_sigma", type=float,
                         default=0.1)
     parser.add_argument("--probe-steps", dest="probe_steps", type=int, default=1,
                         help="attraction steps per candidate evaluation")
+
+
+def _matrix_flags(parser):
+    """The noise matrix and phantom flags bench and sweep share, then the
+    method flags with one cluster per phantom shell by default."""
+    parser.add_argument("--kinds", dest="noise_kinds", type=_str_list,
+                        default=("gaussian",))
+    parser.add_argument("--percents", dest="noise_percents", type=_float_list,
+                        default=(5.0,))
+    parser.add_argument("--seeds", type=_int_list, default=(0, 1, 2))
+    parser.add_argument("--dims", type=_triple, default=(96, 96, 96))
+    parser.add_argument("--shells", type=int, default=4)
+    parser.add_argument("--slice", dest="slice_spec", default="mid",
+                        help='plane to segment: "mid" or e.g. z:48')
+    _method_flags(parser)
+    parser.set_defaults(clusters=None)
 
 
 def build_parser() -> _Parser:
@@ -169,9 +179,7 @@ def build_parser() -> _Parser:
     p.add_argument("--slice", dest="slice_spec", default=None,
                    help="plane to segment, e.g. z:60 (default: z:60 when "
                         "the volume is deep enough, else the middle z plane)")
-    _fcm_flags(p)
-    _attraction_flags(p)
-    _optimizer_flags(p)
+    _method_flags(p)
     p.add_argument("--out", required=True, help="output label slice (.vxf)")
     p.add_argument("--pgm", default=None,
                    help="also render the segmentation as a PGM image")
@@ -199,20 +207,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run the algorithm x noise benchmark matrix")
     _globals(p, suppress=True)
     p.add_argument("--algorithms", type=_str_list, default=("fcm", "3dpifcm"))
-    p.add_argument("--kinds", type=_str_list, default=("gaussian",))
-    p.add_argument("--percents", type=_float_list, default=(5.0,))
-    p.add_argument("--seeds", type=_int_list, default=(0, 1, 2))
-    p.add_argument("--dims", type=_triple, default=(96, 96, 96))
-    p.add_argument("--shells", type=int, default=4)
-    p.add_argument("--slice", dest="slice_spec", default="mid",
-                   help='plane to segment: "mid" or e.g. z:48')
-    p.add_argument("--volume", default=None,
+    _matrix_flags(p)
+    p.add_argument("--volume", dest="volume_path", default=None,
                    help="benchmark this volume instead of a generated phantom")
-    p.add_argument("--truth", default=None, help="labels for --volume")
-    _fcm_flags(p)
-    _attraction_flags(p)
-    _optimizer_flags(p)
-    p.set_defaults(clusters=None)  # default: one cluster per phantom shell
+    p.add_argument("--truth", dest="truth_path", default=None,
+                   help="labels for --volume")
     p.add_argument("--literal-incs", dest="literal_incs", action="store_true")
     p.add_argument("--per-cluster", dest="per_cluster", action="store_true",
                    help="emit per-cluster rows in addition to the mean row")
@@ -227,16 +226,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=_float_list, required=True)
     p.add_argument("--algo", "--algorithm", dest="algorithm",
                    choices=ALGORITHMS, default="3dpifcm")
-    p.add_argument("--kinds", type=_str_list, default=("gaussian",))
-    p.add_argument("--percents", type=_float_list, default=(5.0,))
-    p.add_argument("--seeds", type=_int_list, default=(0, 1, 2))
-    p.add_argument("--dims", type=_triple, default=(96, 96, 96))
-    p.add_argument("--shells", type=int, default=4)
-    p.add_argument("--slice", dest="slice_spec", default="mid")
-    _fcm_flags(p)
-    _attraction_flags(p)
-    _optimizer_flags(p)
-    p.set_defaults(clusters=None)
+    _matrix_flags(p)
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_sweep)
 
@@ -335,14 +325,6 @@ def _default_slice(dims: tuple[int, int, int]) -> SliceRef:
     return SliceRef("z", 60 if dims[2] > 60 else dims[2] // 2)
 
 
-def _fixed_weights(args) -> tuple[float, float] | None:
-    if (args.feature_weight is None) != (args.spatial_weight is None):
-        raise ValidationError("--lam and --xi must be given together")
-    if args.feature_weight is None:
-        return None
-    return (args.feature_weight, args.spatial_weight)
-
-
 def _score_csv(scores: dict, out_path) -> None:
     rows = [{"cluster": r["cluster"], "UnS": f'{r["uns"]:.10g}',
              "OS": f'{r["os"]:.10g}', "IncS": f'{r["incs"]:.10g}'}
@@ -365,8 +347,9 @@ def cmd_segment(args) -> None:
            else _default_slice(vol.dims))
     truth = _load_input(load_labels, args.truth) if args.truth else None
 
-    fixed = _fixed_weights(args)
-    settings = BenchConfig(**_method_settings(args))
+    settings = _settings(args)
+    fixed = (None if args.feature_weight is None
+             else (args.feature_weight, args.spatial_weight))
     result = segment(args.algorithm, vol, ref, args.clusters, settings.fcm_config(),
                      settings.attraction_params(), settings.pso_config(args.seed),
                      settings.ga_config(args.seed), fixed, args.probe_steps)
@@ -414,48 +397,27 @@ def cmd_eval(args) -> None:
     _score_csv(scores, args.out if args.out else sys.stdout)
 
 
-def _method_settings(args) -> dict:
-    """BenchConfig fields from the flags segment, bench and sweep share;
-    without --lam/--xi, ifcm runs at (0.5, 0.5)."""
-    weights = _fixed_weights(args) or (0.5, 0.5)
-    return dict(
-        clusters=args.clusters, fuzziness=args.fuzziness, tolerance=args.tolerance,
-        max_iterations=args.max_iter, level=args.level, depth=args.depth,
-        decay=args.decay, feature_weight=weights[0], spatial_weight=weights[1],
-        swarm_size=args.swarm, pso_max_iter=args.opt_iters, omega=args.omega,
-        phip=args.phip, phig=args.phig, minstep=args.minstep,
-        minfunc=args.minfunc, population=args.population,
-        generations=args.opt_iters, crossover_rate=args.crossover,
-        mutation_rate=args.mutation, mutation_sigma=args.mutation_sigma,
-        probe_steps=args.probe_steps)
-
-
-def _bench_config(args) -> BenchConfig:
-    return BenchConfig(
-        algorithms=tuple(args.algorithms), noise_kinds=tuple(args.kinds),
-        noise_percents=tuple(args.percents), seeds=tuple(args.seeds),
-        dims=args.dims, shells=args.shells, slice_spec=args.slice_spec,
-        volume_path=getattr(args, "volume", None),
-        truth_path=getattr(args, "truth", None),
-        literal_incs=getattr(args, "literal_incs", False),
-        per_cluster=getattr(args, "per_cluster", False),
-        **_method_settings(args))
+def _settings(args) -> BenchConfig:
+    """BenchConfig from the flags named after its fields; --opt-iters also
+    sets the GA's generations, and without --lam/--xi ifcm runs at the
+    default (0.5, 0.5)."""
+    if (args.feature_weight is None) != (args.spatial_weight is None):
+        raise ValidationError("--lam and --xi must be given together")
+    given = {f.name: getattr(args, f.name) for f in fields(BenchConfig)
+             if getattr(args, f.name, None) is not None}
+    return BenchConfig(generations=args.pso_max_iter, **given)
 
 
 def cmd_bench(args) -> None:
-    cfg = _bench_config(args)
-    rows, comparison = run_benchmark(cfg, threads=args.threads, log=_logger(args))
+    rows, comparison = run_benchmark(_settings(args), threads=args.threads,
+                                     log=_logger(args))
     write_csv(rows, REPORT_COLUMNS, args.report if args.report else sys.stdout)
     if args.compare:
         write_csv(comparison, COMPARISON_COLUMNS, args.compare)
 
 
 def cmd_sweep(args) -> None:
-    args.literal_incs = False
-    args.per_cluster = False
-    args.algorithms = (args.algorithm,)
-    cfg = _bench_config(args)
-    rows = run_sweep(cfg, args.param, args.grid, args.algorithm,
+    rows = run_sweep(_settings(args), args.param, args.grid, args.algorithm,
                      threads=args.threads, log=_logger(args))
     write_csv(rows, SWEEP_COLUMNS, args.out if args.out else sys.stdout)
 

@@ -45,17 +45,18 @@ def sample_noisy(v: Volume, spec: NoiseSpec) -> np.ndarray:
     Exposed separately so the noise process itself can be checked against
     its nominal moments without the [0, intensity_max] clamp biasing them.
     """
-    data = v.data.astype(np.float64)
+    # numpy reuses the unnamed float64 temporaries in place, so either
+    # process holds at most two full-size arrays at once
     rng = _rng(spec.seed)
     if spec.kind == "gaussian":
         sigma = spec.percent / 100.0 * v.intensity_max
-        return data + sigma * rng.standard_normal(data.shape)
+        return v.data.astype(np.float64) + sigma * rng.standard_normal(v.data.shape)
     # scale chosen so var = scale * intensity = ((p/100) * imax)^2 at the top
     scale = (spec.percent / 100.0) ** 2 * v.intensity_max
-    return scale * rng.poisson(data / scale).astype(np.float64)
+    return scale * rng.poisson(v.data.astype(np.float64) / scale)
 
 
 def add_noise(v: Volume, spec: NoiseSpec) -> Volume:
     """Corrupted copy of ``v``; intensities clamped to [0, intensity_max]."""
     noisy = np.clip(sample_noisy(v, spec), 0.0, v.intensity_max)
-    return Volume(v.dims, noisy.astype(np.float32), v.intensity_max)
+    return Volume(v.dims, noisy, v.intensity_max)

@@ -71,9 +71,10 @@ class Volume:
         memory = data
         while isinstance(memory, np.ndarray):
             memory = memory.base
-        if not isinstance(memory, bytes):  # only a bytes object can never change
+        # a converted array is already private; only a bytes object can never change
+        if np.may_share_memory(data, self.data) and not isinstance(memory, bytes):
             data = data.copy()
-            data.flags.writeable = False
+        data.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "intensity_max", imax)

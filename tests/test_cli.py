@@ -1,11 +1,12 @@
 """End-to-end command-line flows, run in process through main()."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from voxseg import bench
+from voxseg import bench, cli
 from voxseg.bench import (ALGORITHMS, COMPARISON_COLUMNS, REPORT_COLUMNS,
                           SWEEP_COLUMNS, BenchConfig, run_benchmark)
 from voxseg.cli import main
@@ -302,6 +303,102 @@ def test_explicit_flags_beat_config(tmp_path, flag):
     out = tmp_path / "p.vxf"
     assert main(["phantom", "--out", str(out), "--config", str(config), *flag]) == 0
     assert load_volume(out).dims == (8, 8, 8)
+
+
+# every flag segment, bench and sweep share, each at a non-default value
+METHOD_FLAGS = ["--c", "3", "--m", "2.5", "--eps", "0.02", "--max-iter", "77",
+                "--L", "3", "--v", "2", "--h", "1.7", "--lam", "0.3", "--xi", "0.6",
+                "--swarm", "7", "--opt-iters", "3", "--omega", "0.4", "--phip", "0.3",
+                "--phig", "0.2", "--minstep", "1e-5", "--minfunc", "1e-6",
+                "--population", "9", "--crossover", "0.7", "--mutation", "0.2",
+                "--mutation-sigma", "0.3", "--probe-steps", "2"]
+METHOD_SETTINGS = dict(
+    clusters=3, fuzziness=2.5, tolerance=0.02, max_iterations=77, level=3, depth=2,
+    decay=1.7, feature_weight=0.3, spatial_weight=0.6, swarm_size=7, pso_max_iter=3,
+    omega=0.4, phip=0.3, phig=0.2, minstep=1e-5, minfunc=1e-6, population=9,
+    generations=3, crossover_rate=0.7, mutation_rate=0.2, mutation_sigma=0.3,
+    probe_steps=2)
+MATRIX_FLAGS = ["--kinds", "gaussian,poisson", "--percents", "3,4", "--seeds", "5,6",
+                "--dims", "10,11,12", "--shells", "3", "--slice", "z:4"]
+MATRIX_SETTINGS = dict(noise_kinds=("gaussian", "poisson"), noise_percents=(3.0, 4.0),
+                       seeds=(5, 6), dims=(10, 11, 12), shells=3, slice_spec="z:4")
+
+
+def captured_calls(monkeypatch, argv):
+    """Positional arguments of each pipeline entry the command reaches; the
+    spies stop the run there, so main reports a runtime failure."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("stopped by the spy")
+
+    for name in ("segment", "run_benchmark", "run_sweep"):
+        monkeypatch.setattr(cli, name, spy)
+    assert main(argv + ["--quiet"]) == 2
+    assert len(calls) == 1
+    return calls[0]
+
+
+@pytest.mark.parametrize("command", ["segment", "bench", "sweep"])
+def test_flags_fill_bench_config(assets, monkeypatch, command):
+    volume, truth = str(assets["noisy"]), str(assets["truth"])
+    if command == "segment":
+        args = captured_calls(monkeypatch, ["segment", "--in", volume, "--algo", "gaifcm",
+                                            "--out", "unused.vxf", "--seed", "4",
+                                            *METHOD_FLAGS])
+        want = BenchConfig(**METHOD_SETTINGS)
+        assert args[0] == "gaifcm" and args[3] == 3
+        assert args[4:] == (want.fcm_config(), want.attraction_params(),
+                            want.pso_config(4), want.ga_config(4), (0.3, 0.6), 2)
+    elif command == "bench":
+        cfg, = captured_calls(monkeypatch, ["bench", "--algorithms", "fcm,ifcm",
+                                            "--volume", volume, "--truth", truth,
+                                            "--literal-incs", "--per-cluster",
+                                            *MATRIX_FLAGS, *METHOD_FLAGS])
+        assert cfg == BenchConfig(algorithms=("fcm", "ifcm"), volume_path=volume,
+                                  truth_path=truth, literal_incs=True, per_cluster=True,
+                                  **MATRIX_SETTINGS, **METHOD_SETTINGS)
+    else:
+        cfg, *rest = captured_calls(monkeypatch, ["sweep", "--param", "h", "--grid", "1,2",
+                                                  "--algo", "gaifcm", *MATRIX_FLAGS,
+                                                  *METHOD_FLAGS])
+        assert rest == ["h", (1.0, 2.0), "gaifcm"]
+        # run_sweep runs every grid point with algorithms=(algorithm,)
+        assert replace(cfg, algorithms=("gaifcm",)) == BenchConfig(
+            algorithms=("gaifcm",), **MATRIX_SETTINGS, **METHOD_SETTINGS)
+
+
+def bench_settings_from_config(monkeypatch, tmp_path, lines):
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{line}\n" for line in lines))
+    return captured_calls(monkeypatch, ["bench", "--config", str(config)])
+
+
+def bench_settings_from_flags(monkeypatch, volume, truth):
+    return captured_calls(monkeypatch, [
+        "bench", "--max-iter", "77", "--swarm", "7", "--opt-iters", "3",
+        "--crossover", "0.7", "--mutation", "0.2", "--kinds", "gaussian,poisson",
+        "--percents", "3,4", "--volume", volume, "--truth", truth])
+
+
+def test_old_config_keys_still_accepted(assets, monkeypatch, tmp_path):
+    # keys spelled as the long flags, not as the settings fields they fill
+    volume, truth = str(assets["noisy"]), str(assets["truth"])
+    from_file = bench_settings_from_config(monkeypatch, tmp_path, [
+        "max_iter=77", "swarm=7", "opt_iters=3", "crossover=0.7", "mutation=0.2",
+        "kinds=gaussian,poisson", "percents=3,4", f"volume={volume}", f"truth={truth}"])
+    assert from_file == bench_settings_from_flags(monkeypatch, volume, truth)
+    assert from_file[0].generations == 3 and from_file[0].truth_path == truth
+
+
+def test_field_name_config_keys_accepted(assets, monkeypatch, tmp_path):
+    volume, truth = str(assets["noisy"]), str(assets["truth"])
+    from_file = bench_settings_from_config(monkeypatch, tmp_path, [
+        "max_iterations=77", "swarm_size=7", "pso_max_iter=3", "crossover_rate=0.7",
+        "mutation_rate=0.2", "noise_kinds=gaussian,poisson", "noise_percents=3,4",
+        f"volume_path={volume}", f"truth_path={truth}"])
+    assert from_file == bench_settings_from_flags(monkeypatch, volume, truth)
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

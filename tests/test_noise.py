@@ -1,5 +1,7 @@
 """Noise process moments, ordering and reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,20 @@ def test_metadata_preserved():
     assert noisy.dims == vol.dims
     assert noisy.intensity_max == vol.intensity_max
     assert noisy.data.dtype == np.float32
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "poisson"])
+def test_add_noise_holds_two_float64_fields(kind):
+    # the float64 noisy field and one float64 temporary; no other full-size copy
+    vol, _ = generate_phantom(PhantomSpec(dims=(64, 64, 64), num_shells=4))
+    tracemalloc.start()
+    try:
+        noisy = add_noise(vol, NoiseSpec(kind, 10.0, seed=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not noisy.data.flags.writeable
+    assert peak < 4.5 * vol.data.nbytes
 
 
 def test_spec_validation():

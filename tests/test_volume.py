@@ -143,6 +143,19 @@ def test_volume_copies_caller_arrays():
     assert v.data[0, 0, 0] == 1.0 and not v.data.flags.writeable
 
 
+def test_volume_keeps_its_converted_array():
+    # converting a float64 array already makes a private float32 copy
+    data = np.random.default_rng(6).uniform(0, 100, size=(64, 64, 64))
+    tracemalloc.start()
+    try:
+        v = Volume((64, 64, 64), data, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(v.data, data.astype(np.float32)) and not v.data.flags.writeable
+    assert peak < 1.25 * v.data.nbytes
+
+
 @pytest.mark.parametrize("labels", [False, True])
 def test_load_errors_name_the_byte_counts(tmp_path, labels):
     path = tmp_path / "x.vxf"
