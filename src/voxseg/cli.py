@@ -29,7 +29,7 @@ from voxseg.metrics import evaluate_labels
 from voxseg.noise import KINDS, NoiseSpec, add_noise
 from voxseg.phantom import PhantomSpec, generate_phantom
 from voxseg.pipelines import segment
-from voxseg.volume import (SliceRef, Volume, extract_slice, load_labels,
+from voxseg.volume import (AXES, SliceRef, Volume, extract_slice, load_labels,
                            load_volume, save_volume, write_pgm)
 
 
@@ -345,7 +345,18 @@ def cmd_segment(args) -> None:
     vol = _load_input(load_volume, args.input)
     ref = (SliceRef.parse(args.slice_spec) if args.slice_spec
            else _default_slice(vol.dims))
-    truth = _load_input(load_labels, args.truth) if args.truth else None
+    truth_slice = None
+    if args.truth:
+        # keep only the scored slice, not the whole label volume, and check
+        # it before segmenting
+        truth = _load_input(load_labels, args.truth)
+        slice_dims = tuple(1 if axis == AXES[ref.axis] else n
+                           for axis, n in enumerate(vol.dims))
+        truth_slice = _matching_slice(truth, ref, slice_dims)
+        if truth_slice.dims != slice_dims:
+            raise ValidationError(f"truth dims {truth.dims} do not cover "
+                                  f"slice dims {slice_dims}")
+        del truth
 
     settings = _settings(args)
     fixed = (None if args.feature_weight is None
@@ -354,14 +365,8 @@ def cmd_segment(args) -> None:
                      settings.attraction_params(), settings.pso_config(args.seed),
                      settings.ga_config(args.seed), fixed, args.probe_steps)
     labels = result.labels
-
-    scores = None
-    if truth is not None:
-        truth_slice = _matching_slice(truth, ref, labels.dims)
-        if truth_slice.dims != labels.dims:
-            raise ValidationError(f"truth dims {truth.dims} do not cover "
-                                  f"slice dims {labels.dims}")
-        scores = evaluate_labels(labels, truth_slice, args.clusters)
+    scores = (None if truth_slice is None
+              else evaluate_labels(labels, truth_slice, args.clusters))
 
     save_volume(labels, args.out)
     if args.membership:
@@ -375,7 +380,8 @@ def cmd_segment(args) -> None:
     shown = ("-" if result.feature_weight is None else
              f"lambda={result.feature_weight:.4g} xi={result.spatial_weight:.4g}")
     _say(args, f"{args.algorithm} on {ref.axis}:{ref.index}: "
-               f"{result.iterations} iterations, {shown}, wrote {args.out}")
+               f"{result.iterations} iterations, stop={result.stop_reason}, "
+               f"{shown}, wrote {args.out}")
 
 
 def cmd_eval(args) -> None:

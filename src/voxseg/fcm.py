@@ -1,15 +1,25 @@
 """Fuzzy c-means clustering on 1-D intensity data.
 
-The solver alternates the closed-form membership update (inverse-distance
-ratios raised to 2/(m-1)) with the weighted-mean center update, stopping
-when the membership matrix moves less than ``tolerance`` in the max norm.
-Centers are kept in canonical ascending order throughout, with membership
-columns permuted alongside, so cluster k always means "k-th darkest".
+The solver alternates the closed-form membership update with the
+weighted-mean center update, stopping when the membership matrix moves less
+than ``tolerance`` in the max norm.  Centers are kept in canonical ascending
+order throughout, with membership columns permuted alongside, so cluster k
+always means "k-th darkest".
 
-Row minima, maxima and sums over the c clusters are column folds
-(:func:`_fold_columns`), so numpy loops over long columns, not c-wide rows.
-They equal numpy's row reductions bit for bit for c < 8; from c = 8 numpy
-sums a row with 8 unrolled accumulators, and sums differ by up to ~7e-16.
+Memberships take u_ij proportional to (dmin_i / d2_ij)^(1/(m-1)), with
+dmin_i the row's smallest squared distance, so every ratio lies in (0, 1]
+and no power can overflow; at m = 2 the power is skipped.  A center's mass
+and weighted sum come from one matrix product, as do the Gaussian-mixture
+M-step sums in :func:`gmm_init`.  Row minima, maxima and sums over the c
+clusters are column folds (:func:`_fold_columns`), so numpy loops over long
+columns, not c-wide rows.
+
+The rules are Bezdek's; their rounding is not the textbook evaluation's.
+Memberships stay within (2/(m-1) + c + 5) units of 2^-53 of an
+extended-precision evaluation of the same rule, relative to it, for any c.
+The products run in the BLAS numpy is linked against, so their last bits
+depend on its kernel (OpenBLAS picks one per CPU); results repeat exactly on
+one machine.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ class FcmResult(NamedTuple):
     centers: np.ndarray
     iterations: int
     cost: float
+    converged: bool     # False when the fit stopped at max_iterations
 
 
 def check_membership(u: np.ndarray, *, tol: float = 1e-9) -> None:
@@ -73,9 +84,11 @@ def jm_cost(u: np.ndarray, d2: np.ndarray, fuzziness: float) -> float:
     d2 = np.asarray(d2, dtype=np.float64)
     if u.shape != d2.shape:
         raise ValidationError(f"shape mismatch {u.shape} vs {d2.shape}")
-    if np.any(d2 < 0):
+    if d2.min() < 0:
         raise ValidationError("squared distances must be non-negative")
-    return float(np.sum(u ** fuzziness * d2))
+    if fuzziness == 2.0:
+        return float(np.einsum("ij,ij,ij->", u, u, d2))
+    return float(np.einsum("ij,ij->", u ** fuzziness, d2))
 
 
 def _fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
@@ -90,22 +103,23 @@ def update_membership(d2: np.ndarray, fuzziness: float) -> np.ndarray:
     """Memberships from squared distances via the inverse-ratio rule.
 
     A point at exactly zero distance from a center gets full membership
-    there (lowest such column on ties).  Ratios are normalised by each
+    there (lowest such column on ties).  Ratios are taken against each
     row's smallest distance so large exponents cannot overflow.
     """
     d2 = np.asarray(d2, dtype=np.float64)
     if d2.ndim != 2:
         raise ValidationError("distance matrix must be 2-D")
-    if np.any(d2 < 0) or not np.all(np.isfinite(d2)):
+    # a NaN fails the first test, an infinity the second
+    if not (d2.min() >= 0 and np.isfinite(d2.max())):
         raise ValidationError("squared distances must be finite and non-negative")
     dmin = _fold_columns(np.minimum, d2)
-    # sqrt is monotone and correctly rounded, so sqrt(min) is min(sqrt);
-    # rows with a zero distance divide by zero here and are replaced below
-    with np.errstate(divide="ignore", invalid="ignore"):
+    power = 1.0 / (fuzziness - 1.0)
+    # rows with a zero distance divide 0 by 0 here and are replaced below
+    with np.errstate(invalid="ignore"):
         # row-major like its callers' reductions expect, whatever d2's layout
-        u = np.sqrt(d2, out=np.empty(d2.shape))
-        u /= np.sqrt(dmin)[:, None]
-        u **= -2.0 / (fuzziness - 1.0)
+        u = np.divide(dmin[:, None], d2, out=np.empty(d2.shape))
+        if power != 1.0:
+            u **= power
         u /= _fold_columns(np.add, u)[:, None]
     hit = np.flatnonzero(dmin == 0.0)
     if hit.size:
@@ -123,18 +137,14 @@ def update_centers(u: np.ndarray, data: np.ndarray,
     """
     u = np.asarray(u, dtype=np.float64)
     data = np.asarray(data, dtype=np.float64).ravel()
-    um = u ** fuzziness
-    mass = um.sum(axis=0)
+    # every column's mass and weighted sum from one product
+    mass, total = ((u ** fuzziness).T @ np.column_stack((np.ones(data.size), data))).T
     if np.any(mass <= 0):
         empty = np.flatnonzero(mass <= 0)
         raise DegenerateClusterError(f"cluster(s) {empty.tolist()} lost all membership")
-    centers = (um * data[:, None]).sum(axis=0) / mass
+    centers = total / mass
     order = np.argsort(centers, kind="stable")
     return centers[order], u[:, order]
-
-
-def _log_normal_pdf(x: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
-    return -0.5 * ((x[:, None] - mu) ** 2 / var + np.log(2.0 * np.pi * var))
 
 
 def gmm_init(data: np.ndarray, c: int, scale: float | None = None) -> np.ndarray:
@@ -166,23 +176,29 @@ def gmm_init(data: np.ndarray, c: int, scale: float | None = None) -> np.ndarray
     var = np.full(c, max(float(data.var()), var_floor))
     weight = np.full(c, 1.0 / c)
     prev_ll = -np.inf
+    sq = np.square(data[:, None] - mu)      # (x - mu)^2, renewed by each M-step
+    log_wp = np.empty_like(sq)
     for _ in range(100):
-        log_wp = np.log(weight) + _log_normal_pdf(data, mu, var)
+        # log of weight times normal density, built in place
+        np.multiply(sq, -0.5 / var, out=log_wp)
+        log_wp += np.log(weight) - 0.5 * np.log(2.0 * np.pi * var)
         top = _fold_columns(np.maximum, log_wp)
-        norm = top + np.log(_fold_columns(np.add, np.exp(log_wp - top[:, None])))
-        resp = np.exp(log_wp - norm[:, None])
-        ll = float(norm.sum())
+        log_wp -= top[:, None]
+        wp = np.exp(log_wp, out=log_wp)
+        total = _fold_columns(np.add, wp)
+        ll = float((top + np.log(total)).sum())
         if abs(ll - prev_ll) < 1e-6:
             break
         prev_ll = ll
-        mass = resp.sum(axis=0)
+        # responsibilities are wp / total; the division rides in the products
+        inv = 1.0 / total
+        mass, first = (wp.T @ np.column_stack((inv, data * inv))).T
         alive = mass > 1e-12
         safe = np.where(alive, mass, 1.0)
-        mu = np.where(alive, (resp * data[:, None]).sum(axis=0) / safe, mu)
-        var = np.where(
-            alive,
-            np.maximum((resp * (data[:, None] - mu) ** 2).sum(axis=0) / safe, var_floor),
-            var)
+        mu = np.where(alive, first / safe, mu)
+        np.square(np.subtract(data[:, None], mu, out=sq), out=sq)
+        wp *= sq                            # weights of the variance sums
+        var = np.where(alive, np.maximum(inv @ wp / safe, var_floor), var)
         weight = np.maximum(mass / data.size, 1e-12)
         weight = weight / weight.sum()
     return np.sort(mu)
@@ -207,9 +223,10 @@ def fcm(data: np.ndarray, c: int, cfg: FcmConfig,
     Returns
     -------
     FcmResult
-        Membership matrix, ascending centers, iteration count and final
-        cost.  The returned membership was computed from the returned
-        centers, so re-applying the membership update is a no-op.
+        Membership matrix, ascending centers, iteration count, final cost
+        and whether the memberships met the tolerance (False when the fit
+        stopped at the cap).  The returned membership was computed from the
+        returned centers, so re-applying the membership update is a no-op.
     """
     data = np.asarray(data, dtype=np.float64).ravel()
     c = int(c)
@@ -231,6 +248,7 @@ def fcm(data: np.ndarray, c: int, cfg: FcmConfig,
     u = update_membership(d2, cfg.fuzziness)
     cost = jm_cost(u, d2, cfg.fuzziness)
     iterations = 0
+    converged = False
     for _ in range(cfg.max_iterations):
         centers, u = update_centers(u, data, cfg.fuzziness)
         d2 = (data[:, None] - centers) ** 2
@@ -240,8 +258,9 @@ def fcm(data: np.ndarray, c: int, cfg: FcmConfig,
         u = u_next
         iterations += 1
         if shift < cfg.tolerance:
+            converged = True
             break
-    return FcmResult(u, centers, iterations, cost)
+    return FcmResult(u, centers, iterations, cost, converged)
 
 
 def gmm_fcm(v: Volume, c: int, cfg: FcmConfig) -> FcmResult:

@@ -5,7 +5,8 @@ All five algorithms run the same stages: one neighbour context per slice
 GMM-seeded fuzzy c-means start, then weights that are given (``ifcm``) or
 tuned by probing a short attraction update from that start, and one
 converge loop of attraction Picard steps that builds every result.  Plain
-``fcm`` skips the weights and the loop: its start is its answer.
+``fcm`` skips the weights and the loop: its start is its answer.  Every
+result names why its loop stopped.
 :func:`segment` picks the algorithm by id for the CLI and the benchmark.
 """
 
@@ -38,6 +39,10 @@ class SegmentationResult:
     iterations: int
     final_cost: float
     wall_time: float
+    # "converged"; "cycle", the cap hit while iterates two steps apart
+    # differ by less than the tolerance (the loop alternates between two
+    # states); or "cap"
+    stop_reason: str
 
 
 def _context(domain, params: AttractionParams):
@@ -54,27 +59,36 @@ def _initial_state(ctx, clusters: int, cfg: FcmConfig):
 
 
 def _converge(ctx, u, centers, params: AttractionParams | None, cfg: FcmConfig,
-              started: float, iterations: int = 0,
-              cost: float = float("nan")) -> SegmentationResult:
+              started: float, start: FcmResult | None = None) -> SegmentationResult:
     """Iterate attraction updates at ``params`` until the memberships settle,
-    check them and package the result.  Plain fcm passes ``params=None`` with
-    its fit's iteration count and cost, as its start is its answer."""
-    weights = (None, None)
-    if params is not None:
+    check them and package the result.  Plain fcm passes ``params=None`` and
+    its fit as ``start``, as its start is its answer."""
+    if params is None:
+        weights = (None, None)
+        iterations, cost = start.iterations, start.cost
+        stop = "converged" if start.converged else "cap"
+    else:
         weights = (float(params.feature_weight), float(params.spatial_weight))
+        iterations, two_back = 0, None
         for _ in range(cfg.max_iterations):
             u_next, centers, cost = ifcm_step(ctx, u, centers, params, cfg)
             shift = float(np.abs(u_next - u).max())
-            u = u_next
             iterations += 1
+            if iterations == cfg.max_iterations - 1:
+                two_back = u     # the iterate two steps before the last one
+            u = u_next
             if shift < cfg.tolerance:
+                stop = "converged"
                 break
+        else:
+            stop = ("cycle" if two_back is not None
+                    and float(np.abs(u - two_back).max()) < cfg.tolerance else "cap")
     check_membership(u)
     return SegmentationResult(
         membership=u, centers=centers, labels=ctx.labels_volume(np.argmax(u, axis=1)),
         feature_weight=weights[0], spatial_weight=weights[1],
         iterations=iterations, final_cost=float(cost),
-        wall_time=time.perf_counter() - started)
+        wall_time=time.perf_counter() - started, stop_reason=stop)
 
 
 def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
@@ -223,4 +237,4 @@ def segment(algorithm: str, vol: Volume, ref: SliceRef, clusters: int,
     if algorithm == "ifcm":
         return ifcm(ctx, params, (state.membership, state.centers), cfg)
     return _converge(ctx, state.membership, state.centers, None, cfg, started,
-                     state.iterations, state.cost)
+                     state)

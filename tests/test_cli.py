@@ -1,6 +1,8 @@
 """End-to-end command-line flows, run in process through main()."""
 
 import csv
+import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from voxseg.fcm import FcmConfig, gmm_fcm
 from voxseg.metrics import defuzzify, evaluate_labels
 from voxseg.noise import NoiseSpec, add_noise
 from voxseg.phantom import PhantomSpec, generate_phantom
+from voxseg.pipelines import segment
 from voxseg.volume import (LabelVolume, SliceRef, extract_slice, load_labels,
                            load_volume, save_volume)
 
@@ -170,6 +173,48 @@ def test_segment_rejects_probe_steps_below_one(assets, tmp_path, capsys, steps):
     assert code == 1
     assert "probe_steps" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_segment_holds_only_the_truth_slice(assets, tmp_path, monkeypatch, capsys):
+    # the whole label volume is dropped before segmentation starts
+    loaded, held = [], []
+
+    def load(path):
+        truth = load_labels(path)
+        loaded.append(weakref.ref(truth))
+        return truth
+
+    def spy(*args, **kwargs):
+        held.extend(ref() is not None for ref in loaded)
+        return segment(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_labels", load)
+    monkeypatch.setattr(cli, "segment", spy)
+    code = main(["segment", "--in", str(assets["noisy"]), "--algo", "fcm",
+                 "--slice", "z:12", "--c", "2", "--out", str(tmp_path / "seg.vxf"),
+                 "--truth", str(assets["truth"]),
+                 "--metrics", str(tmp_path / "seg.csv")])
+    assert code == 0
+    assert held == [False]
+    # the log names why the run stopped, after the iteration count
+    assert re.search(r"z:12: \d+ iterations, stop=converged, -, wrote",
+                     capsys.readouterr().err)
+
+
+def test_segment_rejects_truth_that_does_not_cover_the_slice(assets, tmp_path,
+                                                             monkeypatch, capsys):
+    small = tmp_path / "small.vxf"
+    save_volume(generate_phantom(PhantomSpec(dims=(16, 16, 16), num_shells=2))[1], small)
+    calls = []
+    monkeypatch.setattr(cli, "segment", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "seg.vxf"
+    code = main(["segment", "--in", str(assets["noisy"]), "--algo", "fcm",
+                 "--slice", "z:12", "--c", "2", "--out", str(out),
+                 "--truth", str(small)])
+    assert code == 1
+    assert ("truth dims (16, 16, 16) do not cover slice dims (24, 24, 1)"
+            in capsys.readouterr().err)
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, slice_context)
+from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, plane_context,
+                               slice_context)
 from voxseg.errors import ValidationError
 from voxseg.fcm import (FcmConfig, gmm_fcm, jm_cost, update_centers,
                         update_membership)
@@ -11,7 +12,8 @@ from voxseg.metrics import defuzzify, evaluate_labels
 from voxseg.noise import NoiseSpec, add_noise
 from voxseg.optimize import PsoConfig, pso_minimize
 from voxseg.phantom import PhantomSpec, generate_phantom
-from voxseg.pipelines import ga_ifcm, ifcm, pso_ifcm, pso_ifcm_3d, segment
+from voxseg.pipelines import (_initial_state, _probe, ga_ifcm, ifcm, pso_ifcm,
+                               pso_ifcm_3d, segment)
 from voxseg.volume import SliceRef, extract_slice
 
 CFG = FcmConfig()
@@ -215,3 +217,38 @@ def test_error_grows_with_noise():
             tuned_scores.append(evaluate_labels(res3.labels, truth_sl, 4)["mean_incs"])
     assert all(a <= b for a, b in zip(fixed_scores, fixed_scores[1:]))
     assert spearman(np.arange(len(tuned_scores)), np.array(tuned_scores)) >= 0.8
+
+
+def test_stop_reason_names_why_the_loop_ended():
+    # acceptance protocol, z:48: the tuned 3-D run alternates between two
+    # states until the cap; plain fcm and fixed-weight ifcm settle
+    noisy, _ = noisy_phantom(dims=(96, 96, 96), percent=10.0)
+    ref = SliceRef("z", 48)
+    params = AttractionParams(0.5, 0.5, level=2, depth=3, decay=1.5)
+    tuned = segment("3dpifcm", noisy, ref, 4, CFG, params,
+                    PsoConfig(swarm_size=20, max_iter=10, seed=0))
+    assert (tuned.iterations, tuned.stop_reason) == (150, "cycle")
+    for algorithm in ("fcm", "ifcm"):
+        res = segment(algorithm, noisy, ref, 4, CFG, params)
+        assert res.stop_reason == "converged" and res.iterations < 150
+    capped = segment("3dpifcm", noisy, ref, 4, FcmConfig(max_iterations=2), params,
+                     fixed=(1.0, 1.0))
+    assert (capped.iterations, capped.stop_reason) == (2, "cap")
+
+
+@pytest.mark.parametrize("three_d", [False, True], ids=["2d", "3d"])
+def test_probe_cost_never_rises_with_either_weight(three_d):
+    # with one probe step the cost is J_m at the optimal memberships for
+    # distances that shrink as either weight grows, so it cannot rise
+    noisy, _ = noisy_phantom(dims=(24, 24, 24), percent=10.0, seed=7)
+    ref = SliceRef("z", 12)
+    params = AttractionParams(depth=3, decay=1.5)
+    ctx = (slice_context(noisy, ref, 3, 1.5) if three_d
+           else plane_context(extract_slice(noisy, ref)))
+    start = _initial_state(ctx, 4, CFG)
+    propagate = _probe(ctx, start.membership, start.centers, CFG, params, 1)
+    grid = np.linspace(0.0, 1.0, 11)
+    for other in (0.0, 0.5, 1.0):
+        for costs in ([propagate(w, other)[2] for w in grid],
+                      [propagate(other, w)[2] for w in grid]):
+            assert all(b <= a + 1e-12 * abs(a) for a, b in zip(costs, costs[1:]))
