@@ -27,7 +27,7 @@ import numpy as np
 
 from voxseg.errors import ValidationError
 from voxseg.fcm import FcmConfig, jm_cost, update_centers, update_membership
-from voxseg.volume import AXES, LabelVolume, SliceRef, Volume
+from voxseg.volume import AXES, SliceRef, Volume
 
 # Strong attraction can push the scale factor negative; flooring it keeps
 # every d^2 a usable squared distance.
@@ -201,9 +201,6 @@ class NeighbourContext:
         # shells clipped away at the boundary hand their weight to the rest
         self._renorm = np.where(weight_present > 0, weight_present, 1.0)
 
-    def labels_volume(self, labels_flat: np.ndarray) -> LabelVolume:
-        return LabelVolume.from_flat(self.label_dims, labels_flat.astype(np.uint8))
-
     def _padded_members(self, u: np.ndarray, centers: np.ndarray,
                         fuzziness: float) -> dict[int, np.ndarray]:
         """Padded memberships per plane: ``u`` in plane z, the plain update elsewhere."""
@@ -297,18 +294,14 @@ class SliceContext(NeighbourContext):
     shells reaching into the adjacent slices."""
 
     def __init__(self, vol: Volume, ref: SliceRef, depth: int = 3, decay: float = 1.1):
-        axis = AXES[ref.axis]
-        if not 0 <= ref.index < vol.dims[axis]:
-            raise IndexError(f"slice {ref.axis}:{ref.index} out of range for dims {vol.dims}")
-        dims = list(vol.dims)
-        dims[axis] = 1
+        dims = ref.plane_dims(vol.dims)
         shells = build_shell_table(depth).shells
         # only the planes the shells reach are read, so only those are copied
         reach = max(int(np.abs(shell[:, 2]).max()) for shell in shells)
         lo = max(0, ref.index - reach)
-        planes = np.moveaxis(vol.data, axis, 2)[:, :, lo:ref.index + reach + 1]
+        planes = np.moveaxis(vol.data, AXES[ref.axis], 2)[:, :, lo:ref.index + reach + 1]
         super().__init__(planes.astype(np.float64, order="F"), ref.index - lo, shells,
-                         decay_weights(decay, depth), tuple(dims), vol.intensity_max)
+                         decay_weights(decay, depth), dims, vol.intensity_max)
 
 
 def plane_context(img: Volume | np.ndarray, level: int = 2) -> PlaneContext:

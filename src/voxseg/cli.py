@@ -350,8 +350,7 @@ def cmd_segment(args) -> None:
         # keep only the scored slice, not the whole label volume, and check
         # it before segmenting
         truth = _load_input(load_labels, args.truth)
-        slice_dims = tuple(1 if axis == AXES[ref.axis] else n
-                           for axis, n in enumerate(vol.dims))
+        slice_dims = ref.plane_dims(vol.dims)
         truth_slice = _matching_slice(truth, ref, slice_dims)
         if truth_slice.dims != slice_dims:
             raise ValidationError(f"truth dims {truth.dims} do not cover "
@@ -390,7 +389,7 @@ def cmd_eval(args) -> None:
     if args.slice_spec:
         ref = SliceRef.parse(args.slice_spec)
         want = list(truth.dims)
-        want[{"x": 0, "y": 1, "z": 2}[ref.axis]] = 1
+        want[AXES[ref.axis]] = 1
         pred = _matching_slice(pred, ref, tuple(want))
         truth = _matching_slice(truth, ref, tuple(want))
     if pred.dims != truth.dims:

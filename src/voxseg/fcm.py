@@ -1,10 +1,12 @@
 """Fuzzy c-means clustering on 1-D intensity data.
 
 The solver alternates the closed-form membership update with the
-weighted-mean center update, stopping when the membership matrix moves less
-than ``tolerance`` in the max norm.  Centers are kept in canonical ascending
-order throughout, with membership columns permuted alongside, so cluster k
-always means "k-th darkest".
+weighted-mean center update in :func:`settle`, the one loop that runs a
+Picard step until the memberships move less than ``tolerance`` in the max
+norm and names why it stopped; the attraction pipelines hand it their
+step.  Centers are kept in canonical ascending order throughout, with
+membership columns permuted alongside, so cluster k always means "k-th
+darkest".
 
 Memberships take u_ij proportional to (dmin_i / d2_ij)^(1/(m-1)), with
 dmin_i the row's smallest squared distance, so every ratio lies in (0, 1]
@@ -53,7 +55,7 @@ class FcmResult(NamedTuple):
     centers: np.ndarray
     iterations: int
     cost: float
-    converged: bool     # False when the fit stopped at max_iterations
+    stop_reason: str    # "converged", "cycle" or "cap", as :func:`settle` says
 
 
 def check_membership(u: np.ndarray, *, tol: float = 1e-9) -> None:
@@ -224,9 +226,9 @@ def fcm(data: np.ndarray, c: int, cfg: FcmConfig,
     -------
     FcmResult
         Membership matrix, ascending centers, iteration count, final cost
-        and whether the memberships met the tolerance (False when the fit
-        stopped at the cap).  The returned membership was computed from the
-        returned centers, so re-applying the membership update is a no-op.
+        and the stop reason of :func:`settle`.  The returned membership was
+        computed from the returned centers, so re-applying the membership
+        update is a no-op.
     """
     data = np.asarray(data, dtype=np.float64).ravel()
     c = int(c)
@@ -244,23 +246,40 @@ def fcm(data: np.ndarray, c: int, cfg: FcmConfig,
         if centers.size != c:
             raise ValidationError(f"expected {c} centers, got {centers.size}")
 
-    d2 = (data[:, None] - centers) ** 2
-    u = update_membership(d2, cfg.fuzziness)
-    cost = jm_cost(u, d2, cfg.fuzziness)
-    iterations = 0
-    converged = False
-    for _ in range(cfg.max_iterations):
+    def step(u, centers):
         centers, u = update_centers(u, data, cfg.fuzziness)
         d2 = (data[:, None] - centers) ** 2
         u_next = update_membership(d2, cfg.fuzziness)
-        cost = jm_cost(u_next, d2, cfg.fuzziness)
-        shift = float(np.abs(u_next - u).max())
-        u = u_next
-        iterations += 1
-        if shift < cfg.tolerance:
-            converged = True
-            break
-    return FcmResult(u, centers, iterations, cost, converged)
+        return u, u_next, centers, jm_cost(u_next, d2, cfg.fuzziness)
+
+    # handed over directly, so no local here keeps them alive through the loop
+    return settle(step, update_membership((data[:, None] - centers) ** 2, cfg.fuzziness),
+                  centers, cfg)
+
+
+def settle(step, u: np.ndarray, centers: np.ndarray, cfg: FcmConfig) -> FcmResult:
+    """Repeat the Picard step ``step`` from ``(u, centers)`` until the
+    memberships settle.
+
+    ``step(u, centers)`` returns ``(before, after, centers, cost)``: ``u``
+    with its columns in the order of the new centers, the next memberships,
+    the new centers and the cost.  ``stop_reason`` is "converged" once
+    after and before differ by less than ``cfg.tolerance`` in the max norm;
+    at ``cfg.max_iterations`` it is "cycle" when the last iterate is that
+    close to the one two steps earlier (the loop alternates between two
+    states), else "cap".  Only that earlier iterate outlives a step.
+    """
+    two_back = None
+    for done in range(cfg.max_iterations):
+        before, u, centers, cost = step(u, centers)
+        if float(np.abs(u - before).max()) < cfg.tolerance:
+            return FcmResult(u, centers, done + 1, cost, "converged")
+        if done == cfg.max_iterations - 2:
+            two_back = before
+        del before
+    cycle = (two_back is not None
+             and float(np.abs(u - two_back).max()) < cfg.tolerance)
+    return FcmResult(u, centers, cfg.max_iterations, cost, "cycle" if cycle else "cap")
 
 
 def gmm_fcm(v: Volume, c: int, cfg: FcmConfig) -> FcmResult:

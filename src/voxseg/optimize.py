@@ -29,6 +29,17 @@ def _check_bounds(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _start(bounds: Bounds, size: int, seed: int, seed_points):
+    """Bounds, the seeded generator and a uniform start population of
+    ``size`` rows with ``seed_points`` planted (clipped) in the first ones."""
+    lo, hi = _check_bounds(bounds)
+    rng = np.random.default_rng(seed)
+    pop = lo + rng.random((size, lo.size)) * (hi - lo)
+    for row, point in zip(range(size), seed_points):
+        pop[row] = np.clip(np.asarray(point, dtype=np.float64), lo, hi)
+    return lo, hi, rng, pop
+
+
 def _evaluate(func: Callable, points: np.ndarray, seen: dict) -> np.ndarray:
     """Values of ``points`` in index order, each new position's cached in ``seen``."""
     values = np.empty(len(points))
@@ -100,16 +111,9 @@ def pso_minimize(func: Callable[[np.ndarray], float], cfg: PsoConfig,
     per-dimension uniforms for both pulls every iteration; positions are
     clamped to the bounds after every move.
     """
-    lo, hi = _check_bounds(cfg.bounds)
-    span = hi - lo
-    size, dim = int(cfg.swarm_size), lo.size
-    rng, seen = np.random.default_rng(cfg.seed), {}
-
-    x = lo + rng.random((size, dim)) * span
-    for row, point in enumerate(seed_points):
-        if row >= size:
-            break
-        x[row] = np.clip(np.asarray(point, dtype=np.float64), lo, hi)
+    size = int(cfg.swarm_size)
+    lo, hi, rng, x = _start(cfg.bounds, size, cfg.seed, seed_points)
+    span, dim, seen = hi - lo, lo.size, {}
     v = rng.uniform(-span, span, (size, dim))
 
     fx = _evaluate(func, x, seen)
@@ -177,17 +181,11 @@ def ga_minimize(func: Callable[[np.ndarray], float], cfg: GaConfig,
     never rises.  Stops after ``generations`` or once the best value has
     improved by less than ``minfunc`` across the last five generations.
     """
-    lo, hi = _check_bounds(cfg.bounds)
-    span = hi - lo
-    size, dim = int(cfg.population), lo.size
-    rng, seen = np.random.default_rng(cfg.seed), {}
-    sigma = cfg.mutation_sigma * span
+    size = int(cfg.population)
+    lo, hi, rng, pop = _start(cfg.bounds, size, cfg.seed, seed_points)
+    dim, seen = lo.size, {}
+    sigma = cfg.mutation_sigma * (hi - lo)
 
-    pop = lo + rng.random((size, dim)) * span
-    for row, point in enumerate(seed_points):
-        if row >= size:
-            break
-        pop[row] = np.clip(np.asarray(point, dtype=np.float64), lo, hi)
     fit = _evaluate(func, pop, seen)
     elite_idx = int(np.argmin(fit))
     best = pop[elite_idx].copy()

@@ -3,10 +3,11 @@
 All five algorithms run the same stages: one neighbour context per slice
 (in-plane in 2-D; shells into adjacent slices for ``3dpifcm``), one
 GMM-seeded fuzzy c-means start, then weights that are given (``ifcm``) or
-tuned by probing a short attraction update from that start, and one
-converge loop of attraction Picard steps that builds every result.  Plain
-``fcm`` skips the weights and the loop: its start is its answer.  Every
-result names why its loop stopped.
+tuned by probing a short attraction update from that start, and attraction
+Picard steps run by :func:`voxseg.fcm.settle`, fuzzy c-means' own loop.
+Plain ``fcm`` skips the weights and that run: its start is its answer.
+Every result names why its loop stopped and takes its labels from
+:func:`voxseg.metrics.defuzzify`.
 :func:`segment` picks the algorithm by id for the CLI and the benchmark.
 """
 
@@ -21,7 +22,8 @@ from voxseg.attraction import (AttractionParams, NeighbourContext, ifcm_step,
                                picard_update, plane_context, scaled_distances,
                                slice_context)
 from voxseg.errors import ValidationError
-from voxseg.fcm import FcmConfig, FcmResult, check_membership, fcm, gmm_init
+from voxseg.fcm import FcmConfig, FcmResult, check_membership, fcm, gmm_init, settle
+from voxseg.metrics import defuzzify
 from voxseg.optimize import GaConfig, PsoConfig, ga_minimize, pso_minimize
 from voxseg.volume import LabelVolume, SliceRef, Volume, extract_slice
 
@@ -39,10 +41,7 @@ class SegmentationResult:
     iterations: int
     final_cost: float
     wall_time: float
-    # "converged"; "cycle", the cap hit while iterates two steps apart
-    # differ by less than the tolerance (the loop alternates between two
-    # states); or "cap"
-    stop_reason: str
+    stop_reason: str                 # "converged", "cycle" or "cap", from fcm.settle
 
 
 def _context(domain, params: AttractionParams):
@@ -60,35 +59,22 @@ def _initial_state(ctx, clusters: int, cfg: FcmConfig):
 
 def _converge(ctx, u, centers, params: AttractionParams | None, cfg: FcmConfig,
               started: float, start: FcmResult | None = None) -> SegmentationResult:
-    """Iterate attraction updates at ``params`` until the memberships settle,
-    check them and package the result.  Plain fcm passes ``params=None`` and
-    its fit as ``start``, as its start is its answer."""
+    """Settle attraction updates at ``params`` from ``(u, centers)``, check
+    the memberships and package the result.  Plain fcm passes
+    ``params=None`` and its fit as ``start``, as its start is its answer."""
     if params is None:
-        weights = (None, None)
-        iterations, cost = start.iterations, start.cost
-        stop = "converged" if start.converged else "cap"
+        weights, fit = (None, None), start
     else:
         weights = (float(params.feature_weight), float(params.spatial_weight))
-        iterations, two_back = 0, None
-        for _ in range(cfg.max_iterations):
-            u_next, centers, cost = ifcm_step(ctx, u, centers, params, cfg)
-            shift = float(np.abs(u_next - u).max())
-            iterations += 1
-            if iterations == cfg.max_iterations - 1:
-                two_back = u     # the iterate two steps before the last one
-            u = u_next
-            if shift < cfg.tolerance:
-                stop = "converged"
-                break
-        else:
-            stop = ("cycle" if two_back is not None
-                    and float(np.abs(u - two_back).max()) < cfg.tolerance else "cap")
-    check_membership(u)
+        fit = settle(lambda u, centers: (u, *ifcm_step(ctx, u, centers, params, cfg)),
+                     u, centers, cfg)
+    check_membership(fit.membership)
     return SegmentationResult(
-        membership=u, centers=centers, labels=ctx.labels_volume(np.argmax(u, axis=1)),
+        membership=fit.membership, centers=fit.centers,
+        labels=defuzzify(fit.membership, ctx.label_dims),
         feature_weight=weights[0], spatial_weight=weights[1],
-        iterations=iterations, final_cost=float(cost),
-        wall_time=time.perf_counter() - started, stop_reason=stop)
+        iterations=fit.iterations, final_cost=float(fit.cost),
+        wall_time=time.perf_counter() - started, stop_reason=fit.stop_reason)
 
 
 def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
@@ -235,6 +221,8 @@ def segment(algorithm: str, vol: Volume, ref: SliceRef, clusters: int,
     started = time.perf_counter()
     state = _initial_state(ctx, clusters, cfg)
     if algorithm == "ifcm":
-        return ifcm(ctx, params, (state.membership, state.centers), cfg)
+        # the wall time covers the start, as it does for the other four
+        return replace(ifcm(ctx, params, state, cfg),
+                       wall_time=time.perf_counter() - started)
     return _converge(ctx, state.membership, state.centers, None, cfg, started,
                      state)

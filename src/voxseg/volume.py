@@ -178,6 +178,14 @@ class SliceRef:
             raise ValidationError(f"bad slice index in {text!r}") from None
         return cls(axis, index)
 
+    def plane_dims(self, dims: tuple[int, int, int]) -> tuple[int, int, int]:
+        """``dims`` with the sliced axis at 1; IndexError when the index
+        lies outside ``dims``."""
+        axis = AXES[self.axis]
+        if not 0 <= self.index < dims[axis]:
+            raise IndexError(f"slice {self.axis}:{self.index} out of range for dims {dims}")
+        return tuple(1 if a == axis else n for a, n in enumerate(dims))
+
 
 def extract_slice(v: Volume | LabelVolume, ref: SliceRef):
     """Single-plane copy of ``v``; the sliced axis keeps extent 1.
@@ -185,18 +193,10 @@ def extract_slice(v: Volume | LabelVolume, ref: SliceRef):
     Output voxel (x, y, 0) equals input voxel (x, y, index) for z slices,
     and analogously for x and y.
     """
-    axis = AXES[ref.axis]
-    n = v.dims[axis]
-    if not 0 <= ref.index < n:
-        raise IndexError(f"slice {ref.axis}:{ref.index} out of range for dims {v.dims}")
-    window = [slice(None)] * 3
-    window[axis] = slice(ref.index, ref.index + 1)
-    window = tuple(window)
-    dims = list(v.dims)
-    dims[axis] = 1
+    dims, axis = ref.plane_dims(v.dims), AXES[ref.axis]
     if isinstance(v, LabelVolume):
-        return LabelVolume(tuple(dims), v.labels[window])
-    return Volume(tuple(dims), v.data[window], v.intensity_max)
+        return LabelVolume(dims, v.labels.take([ref.index], axis=axis))
+    return Volume(dims, v.data.take([ref.index], axis=axis), v.intensity_max)
 
 
 def save_volume(v: Volume | LabelVolume, path) -> None:

@@ -13,6 +13,7 @@ from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, PlaneContext,
                                plane_context, slice_context)
 from voxseg.errors import ValidationError
 from voxseg.fcm import FcmConfig, jm_cost, update_centers, update_membership
+from voxseg.metrics import defuzzify
 from voxseg.volume import SliceRef, Volume
 
 
@@ -358,7 +359,7 @@ def test_labels_volume_embedding():
     vol = Volume((3, 4, 5), grid, 100.0)
     ctx = slice_context(vol, SliceRef("y", 2), 2, 1.1)
     flat = np.arange(15) % 3
-    lab = ctx.labels_volume(flat)
+    lab = defuzzify(np.eye(3)[flat], ctx.label_dims)
     assert lab.dims == (3, 1, 5)
     grid_lab = flat.reshape(3, 5, order="F")
     assert np.array_equal(np.squeeze(lab.labels, axis=1), grid_lab)

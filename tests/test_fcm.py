@@ -8,7 +8,7 @@ import pytest
 
 from voxseg.errors import DegenerateClusterError, ValidationError
 from voxseg.fcm import (FcmConfig, check_membership, fcm, gmm_fcm, gmm_init,
-                        jm_cost, update_centers, update_membership)
+                        jm_cost, settle, update_centers, update_membership)
 from voxseg.metrics import defuzzify
 from voxseg.phantom import PhantomSpec, generate_phantom
 from voxseg.volume import SliceRef, extract_slice
@@ -261,7 +261,29 @@ def test_fcm_iteration_cap():
     rng = np.random.default_rng(9)
     data = rng.uniform(0, 100, size=50)
     res = fcm(data, 3, FcmConfig(tolerance=1e-12, max_iterations=2))
-    assert res.iterations == 2
+    assert (res.iterations, res.stop_reason) == (2, "cap")
+
+
+@pytest.mark.parametrize("next_u, cap, iterations, reason", [
+    (lambda u: 0.5 * u, 10, 7, "converged"),    # shifts 0.5, 0.25, ..., 2^-7
+    (lambda u: 1.0 - u, 10, 10, "cycle"),       # 0.1 -> 0.9 -> 0.1 -> ...
+    (lambda u: u + 0.5, 10, 10, "cap"),         # every shift is 0.5
+    (lambda u: 1.0 - u, 1, 1, "cap"),           # no iterate two steps back
+], ids=["settle", "alternate", "drift", "one-step"])
+def test_settle_names_why_it_stopped(next_u, cap, iterations, reason):
+    # the step's next iterate is next_u(u); centers and cost are inert
+    def step(u, centers):
+        return u, next_u(u), centers, 0.0
+
+    start = np.array([[0.1, 0.9], [1.0, 0.0]])
+    res = settle(step, start, np.array([1.0, 2.0]),
+                 FcmConfig(tolerance=0.01, max_iterations=cap))
+    assert (res.iterations, res.stop_reason) == (iterations, reason)
+    expect = start
+    for _ in range(iterations):
+        expect = next_u(expect)
+    assert np.array_equal(res.membership, expect)
+    assert np.array_equal(res.centers, [1.0, 2.0])
 
 
 def test_fcm_shuffle_invariance():

@@ -1,8 +1,11 @@
 """End-to-end segmentation pipelines on generated volumes."""
 
+import time
+
 import numpy as np
 import pytest
 
+from voxseg import pipelines
 from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, plane_context,
                                slice_context)
 from voxseg.errors import ValidationError
@@ -10,10 +13,10 @@ from voxseg.fcm import (FcmConfig, gmm_fcm, jm_cost, update_centers,
                         update_membership)
 from voxseg.metrics import defuzzify, evaluate_labels
 from voxseg.noise import NoiseSpec, add_noise
-from voxseg.optimize import PsoConfig, pso_minimize
+from voxseg.optimize import GaConfig, PsoConfig, pso_minimize
 from voxseg.phantom import PhantomSpec, generate_phantom
-from voxseg.pipelines import (_initial_state, _probe, ga_ifcm, ifcm, pso_ifcm,
-                               pso_ifcm_3d, segment)
+from voxseg.pipelines import (ALGORITHMS, _initial_state, _probe, ga_ifcm, ifcm,
+                               pso_ifcm, pso_ifcm_3d, segment)
 from voxseg.volume import SliceRef, extract_slice
 
 CFG = FcmConfig()
@@ -186,6 +189,26 @@ def test_segment_rejects_unknown_algorithm():
     noisy, _ = noisy_phantom(dims=(16, 16, 16))
     with pytest.raises(ValidationError, match="unknown algorithm"):
         segment("kmeans", noisy, SliceRef("z", 8), 4)
+
+
+def test_segment_rejects_more_clusters_than_uint8_labels_carry():
+    noisy, _ = noisy_phantom(dims=(24, 24, 24))
+    with pytest.raises(ValidationError, match="uint8"):
+        segment("fcm", noisy, SliceRef("z", 12), 257, FcmConfig(max_iterations=3))
+
+
+def test_wall_time_covers_the_start(monkeypatch):
+    def slow_start(*args):
+        time.sleep(0.2)
+        return _initial_state(*args)
+
+    monkeypatch.setattr(pipelines, "_initial_state", slow_start)
+    noisy, _ = noisy_phantom(dims=(16, 16, 16))
+    for algorithm in ALGORITHMS:
+        res = segment(algorithm, noisy, SliceRef("z", 8), 2, FcmConfig(max_iterations=3),
+                      AttractionParams(0.5, 0.5), PsoConfig(swarm_size=2, max_iter=1),
+                      GaConfig(population=2, generations=1))
+        assert res.wall_time >= 0.2, algorithm
 
 
 def spearman(a, b):
