@@ -123,8 +123,8 @@ def build_shell_table(depth: int) -> ShellTable:
     return ShellTable(tuple(shells), bands)
 
 
-# Voxels per band of the gather: a (c, band) float64 buffer at a handful
-# of clusters stays within the L2 cache.
+# Padded positions per band of the gather: a (c, band) float64 buffer at a
+# handful of clusters stays within the L2 cache.
 _BAND = 8192
 
 
@@ -156,7 +156,7 @@ class NeighbourContext:
 
     :meth:`attraction_terms` writes the memberships into padded buffers of
     the same layout, one (c, NX*(ny + 2r)) array per plane, and gathers the
-    votes in bands of at most ``_BAND`` voxels, so the working set stays in
+    votes in bands of at most ``_BAND`` positions, so the working set stays in
     cache: per band it squares each plane's membership window once and
     reuses the squares for every offset into that plane.
     """
@@ -231,24 +231,19 @@ class NeighbourContext:
                      for t in (h, f))
 
     def _gather(self, members: dict[int, np.ndarray], c: int) -> tuple[np.ndarray, np.ndarray]:
-        """H and F over the padded rows, band by band; border columns stay 0."""
-        nx, ny = self.shape
-        n = nx * ny
-        pad, reach = self._pad, self._reach
-        h, f = np.zeros((c, ny * self._row)), np.zeros((c, ny * self._row))
+        """H and F over the padded rows, band by band; only the voxel columns
+        are meant to be read."""
+        reach, padded = self._reach, self.shape[1] * self._row
+        h, f = np.zeros((c, padded)), np.zeros((c, padded))
         centre = self._planes[self._z][reach:]
-
-        def core(i):  # position of voxel i among the padded rows
-            return i + i // nx * 2 * pad
-
-        size = -(-n // -(-n // _BAND))  # even bands of at most _BAND voxels
-        bands = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-        width = max(core(hi - 1) - core(lo) + 1 for lo, hi in bands)
+        # positions from the first voxel to the last, in even bands of at most _BAND
+        total = self._renorm.size
+        width = -(-total // -(-total // _BAND))
         contrast_vote, prox_vote, scratch = np.empty((3, c, width))
         contrast = np.empty(width)
         squares = {zk: np.empty((c, width + 2 * reach)) for zk in members}
-        for lo, hi in bands:
-            start, stop = core(lo), core(hi - 1) + 1
+        for start in range(0, total, width):
+            stop = min(start + width, total)
             span = stop - start
             cv, pv, tmp, g = (contrast_vote[:, :span], prox_vote[:, :span],
                               scratch[:, :span], contrast[:span])

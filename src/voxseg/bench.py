@@ -26,9 +26,9 @@ from voxseg.phantom import PhantomSpec, generate_phantom
 from voxseg.pipelines import ALGORITHMS, segment
 from voxseg.volume import SliceRef, extract_slice, load_labels, load_volume
 
-REPORT_COLUMNS = ("algorithm", "noise_kind", "noise_percent", "seed", "cluster",
-                  "UnS", "OS", "IncS", "lambda", "xi", "h", "v",
-                  "iterations", "wall_time_ms", "status")
+SCORE_COLUMNS = ("cluster", "UnS", "OS", "IncS")
+REPORT_COLUMNS = ("algorithm", "noise_kind", "noise_percent", "seed", *SCORE_COLUMNS,
+                  "lambda", "xi", "h", "v", "iterations", "wall_time_ms", "status")
 COMPARISON_COLUMNS = ("algorithm_a", "noise_kind", "noise_percent",
                       "mean_incs_a", "mean_incs_3dpifcm", "relative_improvement_pct")
 
@@ -121,6 +121,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def score_rows(scores: dict, per_cluster: bool = True) -> list[dict]:
+    """UnS/OS/IncS rows of ``evaluate_labels`` scores at ``.10g``: one per
+    cluster when ``per_cluster``, then the mean."""
+    lines = [(e["cluster"], e["uns"], e["os"], e["incs"])
+             for e in (scores["per_cluster"] if per_cluster else ())]
+    lines.append(("mean", scores["mean_uns"], scores["mean_os"], scores["mean_incs"]))
+    return [{"cluster": cluster, "UnS": _fmt(uns), "OS": _fmt(os), "IncS": _fmt(incs)}
+            for cluster, uns, os, incs in lines]
+
+
 def run_cell(cfg: BenchConfig, algorithm: str, kind: str, percent: float,
              seed: int) -> list[dict]:
     """One matrix cell; failures land in the status column, not the caller."""
@@ -138,7 +148,7 @@ def run_cell(cfg: BenchConfig, algorithm: str, kind: str, percent: float,
         scores = evaluate_labels(result.labels, extract_slice(truth, ref),
                                  cfg.cluster_count, cfg.literal_incs)
     except Exception as exc:  # keep the sweep alive; the row records why
-        status, lines = f"error: {exc}", [("", "", "", "")]
+        status, rows = f"error: {exc}", [dict.fromkeys(SCORE_COLUMNS, "")]
     else:
         status, info = "ok", {"iterations": result.iterations}
         if result.feature_weight is not None:
@@ -146,13 +156,9 @@ def run_cell(cfg: BenchConfig, algorithm: str, kind: str, percent: float,
         if algorithm == "3dpifcm":
             info.update({"h": cfg.decay, "v": cfg.depth})
         base.update({k: _fmt(v) if isinstance(v, float) else v for k, v in info.items()})
-        lines = [(e["cluster"], e["uns"], e["os"], e["incs"])
-                 for e in (scores["per_cluster"] if cfg.per_cluster else ())]
-        lines.append(("mean", scores["mean_uns"], scores["mean_os"], scores["mean_incs"]))
+        rows = score_rows(scores, cfg.per_cluster)
     wall_time_ms = _fmt((time.perf_counter() - started) * 1000.0)
-    return [dict(base, cluster=cluster, UnS=_fmt(uns), OS=_fmt(os), IncS=_fmt(incs),
-                 wall_time_ms=wall_time_ms, status=status)
-            for cluster, uns, os, incs in lines]
+    return [dict(base, **row, wall_time_ms=wall_time_ms, status=status) for row in rows]
 
 
 def _cells(cfg: BenchConfig):

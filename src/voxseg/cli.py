@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from voxseg.bench import (ALGORITHMS, COMPARISON_COLUMNS, REPORT_COLUMNS,
-                          SWEEP_COLUMNS, BenchConfig, run_benchmark, run_sweep,
-                          write_csv)
+                          SCORE_COLUMNS, SWEEP_COLUMNS, BenchConfig, run_benchmark,
+                          run_sweep, score_rows, write_csv)
 from voxseg.errors import ValidationError
 from voxseg.metrics import evaluate_labels
 from voxseg.noise import KINDS, NoiseSpec, add_noise
@@ -325,16 +325,6 @@ def _default_slice(dims: tuple[int, int, int]) -> SliceRef:
     return SliceRef("z", 60 if dims[2] > 60 else dims[2] // 2)
 
 
-def _score_csv(scores: dict, out_path) -> None:
-    rows = [{"cluster": r["cluster"], "UnS": f'{r["uns"]:.10g}',
-             "OS": f'{r["os"]:.10g}', "IncS": f'{r["incs"]:.10g}'}
-            for r in scores["per_cluster"]]
-    rows.append({"cluster": "mean", "UnS": f'{scores["mean_uns"]:.10g}',
-                 "OS": f'{scores["mean_os"]:.10g}',
-                 "IncS": f'{scores["mean_incs"]:.10g}'})
-    write_csv(rows, ("cluster", "UnS", "OS", "IncS"), out_path)
-
-
 def _matching_slice(vol, ref: SliceRef, want_dims):
     if vol.dims == want_dims:
         return vol
@@ -375,7 +365,8 @@ def cmd_segment(args) -> None:
                           vol.intensity_max)
         write_pgm(rendered, args.pgm)
     if scores is not None:
-        _score_csv(scores, args.metrics if args.metrics else sys.stdout)
+        write_csv(score_rows(scores), SCORE_COLUMNS,
+                  args.metrics if args.metrics else sys.stdout)
     shown = ("-" if result.feature_weight is None else
              f"lambda={result.feature_weight:.4g} xi={result.spatial_weight:.4g}")
     _say(args, f"{args.algorithm} on {ref.axis}:{ref.index}: "
@@ -399,7 +390,7 @@ def cmd_eval(args) -> None:
     if clusters is None:
         clusters = int(max(pred.labels.max(), truth.labels.max())) + 1
     scores = evaluate_labels(pred, truth, clusters, args.literal_incs)
-    _score_csv(scores, args.out if args.out else sys.stdout)
+    write_csv(score_rows(scores), SCORE_COLUMNS, args.out if args.out else sys.stdout)
 
 
 def _settings(args) -> BenchConfig:

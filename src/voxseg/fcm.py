@@ -135,7 +135,8 @@ def update_centers(u: np.ndarray, data: np.ndarray,
     """u^m-weighted means, sorted ascending.
 
     Returns ``(centers, u)`` with membership columns permuted to match the
-    sorted order, so callers always hold a consistently labelled pair.
+    sorted order, so callers always hold a consistently labelled pair;
+    when the means already ascend, ``u`` comes back as given.
     """
     u = np.asarray(u, dtype=np.float64)
     data = np.asarray(data, dtype=np.float64).ravel()
@@ -145,6 +146,8 @@ def update_centers(u: np.ndarray, data: np.ndarray,
         empty = np.flatnonzero(mass <= 0)
         raise DegenerateClusterError(f"cluster(s) {empty.tolist()} lost all membership")
     centers = total / mass
+    if np.all(centers[:-1] <= centers[1:]):  # a stable sort would move no column
+        return centers, u
     order = np.argsort(centers, kind="stable")
     return centers[order], u[:, order]
 

@@ -1,7 +1,8 @@
 """Volume containers and the VXF on-disk format.
 
 A :class:`Volume` is an immutable 3-D grid of float32 intensities indexed
-as ``data[x, y, z]``.  The linear order used everywhere (file payloads,
+as ``data[x, y, z]``; a :class:`LabelVolume` is the same for uint8 cluster
+labels in ``labels``.  The linear order used everywhere (file payloads,
 flattened per-voxel vectors, membership rows) is x-fastest::
 
     linear index = x + nx * (y + ny * z)
@@ -11,48 +12,102 @@ noise percentages are defined against.  It travels in the file header
 rather than being recomputed, so a noisy volume keeps the scale of the
 clean volume it was derived from.
 
-VXF layout (all integers little-endian)::
+Both grid types share one base: three positive dims, an array of that
+shape, read-only, copied only when the caller can still change it (an
+array converted to the grid's dtype, or one backed by ``bytes``, is
+kept), plus ``from_flat``, ``flat`` and equality of every field.  Each
+type adds its own value checks.  VXF layout (integers little-endian)::
 
     magic    4 bytes   b"VXF1"
-    dtype    u8        1 = float32 intensities, 2 = uint8 labels
+    dtype    u8        the type's code (table below)
     dims     3 x u32   nx, ny, nz
-    imax     f32       intensity_max (dtype 1 only)
+    fields   f32 each  the type's header fields
     payload  raw       nx*ny*nz values, x-fastest
+
+    type          code  payload  header fields
+    Volume        1     <f4      intensity_max
+    LabelVolume   2     <u1      -
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from voxseg.errors import FormatError, ValidationError
 
 _MAGIC = b"VXF1"
-_DTYPE_INTENSITY = 1
-_DTYPE_LABELS = 2
 _HEADER = struct.Struct("<B3I")
 
 AXES = {"x": 0, "y": 1, "z": 2}
 
 
 @dataclass(frozen=True, eq=False)
-class Volume:
-    """3-D scalar intensity grid with an explicit brightest-tissue level."""
+class _Grid:
+    """A 3-D grid of one array field named ``_FIELD``, read as ``_DTYPE``
+    (None keeps the given dtype), then the type's scalar fields; ``_checked``
+    holds the type's value checks and returns the array in the grid's dtype."""
 
     dims: tuple[int, int, int]
-    data: np.ndarray
-    intensity_max: float
+
+    _FIELD: ClassVar[str]
+    _DTYPE: ClassVar[type | None]
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValidationError(f"dims must be three positive integers, got {self.dims!r}")
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.shape != dims:
-            raise ValidationError(f"data shape {data.shape} does not match dims {dims}")
+        given = getattr(self, self._FIELD)
+        values = np.asarray(given, dtype=self._DTYPE)
+        if values.shape != dims:
+            raise ValidationError(f"{self._FIELD} shape {values.shape} does not match dims {dims}")
+        values = self._checked(values)
+        memory = values
+        while isinstance(memory, np.ndarray):
+            memory = memory.base
+        # a converted array is already private; only a bytes object can never change
+        if np.may_share_memory(values, given) and not isinstance(memory, bytes):
+            values = values.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, self._FIELD, values)
+
+    @classmethod
+    def from_flat(cls, dims, flat, *scalars, **named):
+        """Build from values listed in linear (x-fastest) order; the type's
+        scalar fields follow."""
+        dims = tuple(int(d) for d in dims)
+        arr = np.asarray(flat, dtype=cls._DTYPE)
+        if arr.size != int(np.prod(dims)):
+            raise ValidationError(f"expected {int(np.prod(dims))} values, got {arr.size}")
+        return cls(dims, arr.reshape(dims, order="F"), *scalars, **named)
+
+    def flat(self) -> np.ndarray:
+        """Values in linear (x-fastest) order."""
+        return getattr(self, self._FIELD).ravel(order="F")
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Volume(_Grid):
+    """3-D scalar intensity grid with an explicit brightest-tissue level."""
+
+    data: np.ndarray
+    intensity_max: float
+
+    _FIELD = "data"
+    _DTYPE = np.float32
+
+    def _checked(self, data: np.ndarray) -> np.ndarray:
         # NaN propagates through min and max and any infinity is an extreme,
         # so two reductions check every voxel without full-size temporaries
         lowest, highest = float(data.min()), float(data.max())
@@ -68,88 +123,33 @@ class Volume:
             raise ValidationError(
                 f"intensity_max {imax} is below the largest intensity {highest}"
             )
-        memory = data
-        while isinstance(memory, np.ndarray):
-            memory = memory.base
-        # a converted array is already private; only a bytes object can never change
-        if np.may_share_memory(data, self.data) and not isinstance(memory, bytes):
-            data = data.copy()
-        data.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", data)
         object.__setattr__(self, "intensity_max", imax)
-
-    @classmethod
-    def from_flat(cls, dims, flat, intensity_max) -> "Volume":
-        """Build from values listed in linear (x-fastest) order."""
-        dims = tuple(int(d) for d in dims)
-        arr = np.asarray(flat, dtype=np.float32)
-        if arr.size != int(np.prod(dims)):
-            raise ValidationError(f"expected {int(np.prod(dims))} values, got {arr.size}")
-        return cls(dims, arr.reshape(dims, order="F"), intensity_max)
-
-    def flat(self) -> np.ndarray:
-        """Values in linear (x-fastest) order."""
-        return self.data.ravel(order="F")
-
-    def unit_axis(self) -> int:
-        """Axis of extent 1 for a single-slice volume (z preferred)."""
-        for axis in (2, 0, 1):
-            if self.dims[axis] == 1:
-                return axis
-        raise ValidationError(f"volume of dims {self.dims} is not a single slice")
+        return data
 
     def plane(self) -> np.ndarray:
-        """2-D view of a single-slice volume."""
-        axis = self.unit_axis()
-        return np.squeeze(self.data, axis=axis)
-
-    def __eq__(self, other):
-        if not isinstance(other, Volume):
-            return NotImplemented
-        return (self.dims == other.dims
-                and self.intensity_max == other.intensity_max
-                and np.array_equal(self.data, other.data))
+        """2-D view of a single-slice volume, squeezing the axis of extent 1
+        (z preferred)."""
+        for axis in (2, 0, 1):
+            if self.dims[axis] == 1:
+                return np.squeeze(self.data, axis=axis)
+        raise ValidationError(f"volume of dims {self.dims} is not a single slice")
 
 
 @dataclass(frozen=True, eq=False)
-class LabelVolume:
+class LabelVolume(_Grid):
     """3-D grid of uint8 cluster labels, same layout rules as Volume."""
 
-    dims: tuple[int, int, int]
     labels: np.ndarray
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ValidationError(f"dims must be three positive integers, got {self.dims!r}")
-        labels = np.asarray(self.labels)
-        if labels.shape != dims:
-            raise ValidationError(f"labels shape {labels.shape} does not match dims {dims}")
+    _FIELD = "labels"
+    _DTYPE = None
+
+    def _checked(self, labels: np.ndarray) -> np.ndarray:
         if labels.dtype != np.uint8:
             if np.any(labels < 0) or np.any(labels > 255):
                 raise ValidationError("labels must fit in uint8")
             labels = labels.astype(np.uint8)
-        labels = labels.copy()
-        labels.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def from_flat(cls, dims, flat) -> "LabelVolume":
-        dims = tuple(int(d) for d in dims)
-        arr = np.asarray(flat)
-        if arr.size != int(np.prod(dims)):
-            raise ValidationError(f"expected {int(np.prod(dims))} values, got {arr.size}")
-        return cls(dims, arr.reshape(dims, order="F"))
-
-    def flat(self) -> np.ndarray:
-        return self.labels.ravel(order="F")
-
-    def __eq__(self, other):
-        if not isinstance(other, LabelVolume):
-            return NotImplemented
-        return self.dims == other.dims and np.array_equal(self.labels, other.labels)
+        return labels
 
 
 @dataclass(frozen=True)
@@ -194,27 +194,28 @@ def extract_slice(v: Volume | LabelVolume, ref: SliceRef):
     and analogously for x and y.
     """
     dims, axis = ref.plane_dims(v.dims), AXES[ref.axis]
-    if isinstance(v, LabelVolume):
-        return LabelVolume(dims, v.labels.take([ref.index], axis=axis))
-    return Volume(dims, v.data.take([ref.index], axis=axis), v.intensity_max)
+    plane = getattr(v, v._FIELD).take([ref.index], axis=axis)
+    return replace(v, dims=dims, **{v._FIELD: plane})
+
+
+# per grid type: VXF dtype code, payload dtype, the f32 header fields after
+# the dims, and what its files hold
+_VXF = {Volume: (1, "<f4", ("intensity_max",), "intensities"),
+        LabelVolume: (2, "<u1", (), "labels")}
 
 
 def save_volume(v: Volume | LabelVolume, path) -> None:
     """Write ``v`` to ``path`` in VXF, overwriting any existing file."""
-    if isinstance(v, LabelVolume):
-        header = _MAGIC + _HEADER.pack(_DTYPE_LABELS, *v.dims)
-        payload = v.labels.ravel(order="F").astype("<u1").tobytes()
-    elif isinstance(v, Volume):
-        header = (_MAGIC + _HEADER.pack(_DTYPE_INTENSITY, *v.dims)
-                  + struct.pack("<f", v.intensity_max))
-        payload = v.data.ravel(order="F").astype("<f4").tobytes()
-    else:
+    if type(v) not in _VXF:
         raise ValidationError(f"cannot save object of type {type(v).__name__}")
-    Path(path).write_bytes(header + payload)
+    code, payload, names, _ = _VXF[type(v)]
+    header = (_MAGIC + _HEADER.pack(code, *v.dims)
+              + struct.pack(f"<{len(names)}f", *(getattr(v, name) for name in names)))
+    Path(path).write_bytes(header + v.flat().astype(payload).tobytes())
 
 
-def _load(path):
-    # the payload is read once, into the bytes object an intensity volume keeps
+def _load(path, want):
+    # the payload is read once, into the bytes object the grid keeps
     size = Path(path).stat().st_size
     with open(path, "rb") as fh:
         head = fh.read(4 + _HEADER.size + 4)
@@ -222,49 +223,39 @@ def _load(path):
             raise FormatError(f"{path}: not a VXF file (bad magic)")
         if len(head) < 4 + _HEADER.size:
             raise FormatError(f"{path}: truncated header")
-        dtype, nx, ny, nz = _HEADER.unpack_from(head, 4)
-        offset = 4 + _HEADER.size
-        if dtype == _DTYPE_INTENSITY:
-            if len(head) < offset + 4:
-                raise FormatError(f"{path}: truncated header")
-            (imax,) = struct.unpack_from("<f", head, offset)
-            offset += 4
-            itemsize = 4
-        elif dtype == _DTYPE_LABELS:
-            imax = None
-            itemsize = 1
-        else:
-            raise FormatError(f"{path}: unknown dtype code {dtype}")
+        code, nx, ny, nz = _HEADER.unpack_from(head, 4)
+        kind = {row[0]: k for k, row in _VXF.items()}.get(code)
+        if kind is None:
+            raise FormatError(f"{path}: unknown dtype code {code}")
+        _, payload, names, holds = _VXF[kind]
+        offset = 4 + _HEADER.size + 4 * len(names)
+        if len(head) < offset:
+            raise FormatError(f"{path}: truncated header")
+        scalars = struct.unpack_from(f"<{len(names)}f", head, 4 + _HEADER.size)
         if min(nx, ny, nz) < 1:
             raise FormatError(f"{path}: non-positive dims {(nx, ny, nz)}")
-        count = nx * ny * nz
-        expected = offset + count * itemsize
+        nbytes = nx * ny * nz * np.dtype(payload).itemsize
+        expected = offset + nbytes
         if size < expected:
-            raise OSError(f"{path}: truncated payload "
-                          f"({size - offset} of {count * itemsize} bytes)")
+            raise OSError(f"{path}: truncated payload ({size - offset} of {nbytes} bytes)")
         if size > expected:
             raise FormatError(f"{path}: {size - expected} trailing bytes after payload")
         fh.seek(offset)
-        raw = fh.read(count * itemsize)
-    if dtype == _DTYPE_LABELS:
-        return LabelVolume.from_flat((nx, ny, nz), np.frombuffer(raw, dtype="<u1"))
-    return Volume.from_flat((nx, ny, nz), np.frombuffer(raw, dtype="<f4"), imax)
+        raw = fh.read(nbytes)
+    grid = kind.from_flat((nx, ny, nz), np.frombuffer(raw, dtype=payload), *scalars)
+    if kind is not want:
+        raise ValidationError(f"{path} holds {holds}, not {_VXF[want][3]}")
+    return grid
 
 
 def load_volume(path) -> Volume:
     """Load an intensity volume; rejects label files."""
-    v = _load(path)
-    if not isinstance(v, Volume):
-        raise ValidationError(f"{path} holds labels, not intensities")
-    return v
+    return _load(path, Volume)
 
 
 def load_labels(path) -> LabelVolume:
     """Load a label volume; rejects intensity files."""
-    v = _load(path)
-    if not isinstance(v, LabelVolume):
-        raise ValidationError(f"{path} holds intensities, not labels")
-    return v
+    return _load(path, LabelVolume)
 
 
 def write_pgm(v: Volume, path) -> None:

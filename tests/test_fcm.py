@@ -145,6 +145,10 @@ def test_update_centers_fsum_reference(m):
     assert not np.array_equal(order, np.arange(c))
     assert np.allclose(centers, ref[order], rtol=2 * n * 2.0 ** -53, atol=0.0)
     assert np.array_equal(u_out, u[:, order])
+    # centres that already ascend return the same memberships object
+    again, u_again = update_centers(u_out, data, m)
+    assert u_again is u_out
+    assert np.allclose(again, ref[order], rtol=2 * n * 2.0 ** -53, atol=0.0)
 
 
 def test_update_centers_degenerate():

@@ -10,6 +10,15 @@ from voxseg.volume import (LabelVolume, SliceRef, Volume, extract_slice,
                            load_labels, load_volume, save_volume, write_pgm)
 
 
+# each grid type: a constructor from (dims, array), its array field, the
+# dtype it keeps, a wider dtype it converts from, and the loader of its files
+GRIDS = {
+    "volume": (lambda dims, a: Volume(dims, a, 100.0), "data", np.float32, np.float64,
+               load_volume),
+    "labels": (LabelVolume, "labels", np.uint8, np.int64, load_labels),
+}
+
+
 def test_linear_order_is_x_fastest():
     dims = (2, 3, 4)
     v = Volume.from_flat(dims, np.arange(24, dtype=np.float32), 100.0)
@@ -76,6 +85,23 @@ def test_labels_round_trip(tmp_path):
     assert load_labels(path) == lab
 
 
+@pytest.mark.parametrize("kind, grid, pinned", [
+    ("volume", Volume.from_flat((2, 1, 2), [0.5, 3.0, 1.0, 0.0], 4.0),
+     "56584631 01 02000000 01000000 02000000 00008040 0000003f 00004040 0000803f 00000000"),
+    ("labels", LabelVolume.from_flat((2, 1, 2), [0, 1, 2, 3]),
+     "56584631 02 02000000 01000000 02000000 00010203"),
+], ids=["volume", "labels"])
+def test_vxf_file_bytes(tmp_path, kind, grid, pinned):
+    # magic, dtype code, dims as u32, intensity_max as f32 (volumes only),
+    # then the payload x-fastest; a change made to save and load alike
+    # still passes the round trips, but not this pin
+    path = tmp_path / "x.vxf"
+    save_volume(grid, path)
+    assert path.read_bytes() == bytes.fromhex(pinned)
+    path.write_bytes(bytes.fromhex(pinned))
+    assert GRIDS[kind][-1](path) == grid
+
+
 def test_loaders_reject_wrong_kind(tmp_path):
     vp, lp = tmp_path / "v.vxf", tmp_path / "l.vxf"
     save_volume(Volume((2, 2, 2), np.ones((2, 2, 2)), 2.0), vp)
@@ -136,24 +162,28 @@ def test_volume_finite_and_sign_checks(value, message):
         Volume((2, 3, 2), data, 1.0)
 
 
-def test_volume_copies_caller_arrays():
-    data = np.ones((2, 2, 2), dtype=np.float32)
-    v = Volume((2, 2, 2), data, 1.0)
-    data[0, 0, 0] = 0.5
-    assert v.data[0, 0, 0] == 1.0 and not v.data.flags.writeable
+@pytest.mark.parametrize("kind", GRIDS)
+def test_volume_copies_caller_arrays(kind):
+    make, field, dtype, _, _ = GRIDS[kind]
+    data = np.ones((2, 2, 2), dtype=dtype)
+    kept = getattr(make((2, 2, 2), data), field)
+    data[0, 0, 0] = 0
+    assert kept[0, 0, 0] == 1 and not kept.flags.writeable
 
 
-def test_volume_keeps_its_converted_array():
-    # converting a float64 array already makes a private float32 copy
-    data = np.random.default_rng(6).uniform(0, 100, size=(64, 64, 64))
+@pytest.mark.parametrize("kind", GRIDS)
+def test_volume_keeps_its_converted_array(kind):
+    # converting to the grid's dtype already makes a private copy
+    make, field, dtype, wider, _ = GRIDS[kind]
+    data = np.random.default_rng(6).uniform(0, 100, size=(64, 64, 64)).astype(wider)
     tracemalloc.start()
     try:
-        v = Volume((64, 64, 64), data, 100.0)
+        kept = getattr(make((64, 64, 64), data), field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(v.data, data.astype(np.float32)) and not v.data.flags.writeable
-    assert peak < 1.25 * v.data.nbytes
+    assert np.array_equal(kept, data.astype(dtype)) and not kept.flags.writeable
+    assert peak < 1.25 * kept.nbytes
 
 
 @pytest.mark.parametrize("labels", [False, True])
@@ -174,19 +204,21 @@ def test_load_errors_name_the_byte_counts(tmp_path, labels):
         load_labels(path) if labels else load_volume(path)
 
 
-def test_load_volume_holds_one_payload(tmp_path):
-    # the payload is read into the buffer the volume keeps: no second copy
+@pytest.mark.parametrize("kind", GRIDS)
+def test_load_volume_holds_one_payload(tmp_path, kind):
+    # the payload is read into the buffer the grid keeps: no second copy
     # and no full-size temporaries from the checks
+    make, field, dtype, _, load = GRIDS[kind]
     path = tmp_path / "x.vxf"
-    data = np.random.default_rng(4).uniform(0, 100, size=(64, 64, 64)).astype(np.float32)
-    save_volume(Volume((64, 64, 64), data, 100.0), path)
+    data = np.random.default_rng(4).uniform(0, 100, size=(64, 64, 64)).astype(dtype)
+    save_volume(make((64, 64, 64), data), path)
     tracemalloc.start()
     try:
-        v = load_volume(path)
+        kept = getattr(load(path), field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(v.data, data) and not v.data.flags.writeable
+    assert np.array_equal(kept, data) and not kept.flags.writeable
     assert peak < 1.5 * data.nbytes
 
 
