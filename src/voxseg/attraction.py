@@ -17,6 +17,9 @@ decaying weights.  Neighbourhoods are clipped at the volume boundary
 (a zero border adds exact zeros); a shell clipped away entirely hands its
 weight to the surviving shells.  The 2-D case is the one-shell, dz = 0
 case of the 3-D one, so both run through the same context and gather.
+
+:func:`ifcm_step` is the one attraction Picard step, which the weight probe
+and the converge loop of :mod:`voxseg.pipelines` both run.
 """
 
 from __future__ import annotations
@@ -313,42 +316,30 @@ def slice_context(vol: Volume, ref: SliceRef, depth: int = 3,
     return SliceContext(vol, ref, depth, decay)
 
 
-def scaled_distances(base: np.ndarray, h: np.ndarray, f: np.ndarray,
-                     feature_weight: float, spatial_weight: float) -> np.ndarray:
-    """Plain squared distances ``base`` times the floored attraction factor,
-    which is exactly 1.0 at zero weights."""
-    return base * np.maximum(1.0 - feature_weight * h - spatial_weight * f,
-                             FACTOR_FLOOR)
-
-
-def picard_update(data: np.ndarray, d2: np.ndarray,
-                  fuzziness: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Memberships from ``d2``, their cost against ``d2``, then the sorted
-    centers; returns (memberships, centers, cost), columns in center order."""
-    u = update_membership(d2, fuzziness)
-    cost = jm_cost(u, d2, fuzziness)
-    centers, u = update_centers(u, data, fuzziness)
-    return u, centers, cost
-
-
 def attraction_distances(ctx, u: np.ndarray, centers: np.ndarray,
                          fuzziness: float, feature_weight: float,
-                         spatial_weight: float) -> np.ndarray:
-    """Full matrix of attraction-scaled squared distances."""
-    h, f = ctx.attraction_terms(u, centers, fuzziness)
+                         spatial_weight: float, terms=None) -> np.ndarray:
+    """Full matrix of attraction-scaled squared distances: the plain ones
+    times the floored factor, exactly 1.0 at zero weights.  ``terms`` is the
+    (H, F) pair already gathered at ``(u, centers)``, if the caller has it."""
+    h, f = terms or ctx.attraction_terms(u, centers, fuzziness)
     centers = np.asarray(centers, dtype=np.float64).ravel()
-    return scaled_distances((ctx.data[:, None] - centers) ** 2, h, f,
-                            feature_weight, spatial_weight)
+    return (ctx.data[:, None] - centers) ** 2 * np.maximum(
+        1.0 - feature_weight * h - spatial_weight * f, FACTOR_FLOOR)
 
 
 def ifcm_step(ctx, u: np.ndarray, centers: np.ndarray, params: AttractionParams,
-              cfg: FcmConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """One Picard update under attraction distances.
+              cfg: FcmConfig, terms=None) -> tuple[np.ndarray, np.ndarray, float]:
+    """One Picard update under attraction distances, the step both the weight
+    probe and :func:`voxseg.fcm.settle` run.
 
-    Recomputes distances from the given state, updates memberships, then
-    centers; returns the new pair plus the cost evaluated with the new
-    memberships against the distances just used.
+    Recomputes distances from the given state, or from ``terms`` gathered
+    there, updates memberships, then centers; returns the new pair plus the
+    cost evaluated with the new memberships against the distances just used.
     """
     d2 = attraction_distances(ctx, u, centers, cfg.fuzziness,
-                              params.feature_weight, params.spatial_weight)
-    return picard_update(ctx.data, d2, cfg.fuzziness)
+                              params.feature_weight, params.spatial_weight, terms)
+    u = update_membership(d2, cfg.fuzziness)
+    cost = jm_cost(u, d2, cfg.fuzziness)
+    centers, u = update_centers(u, ctx.data, cfg.fuzziness)
+    return u, centers, cost

@@ -13,6 +13,7 @@ import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -79,6 +80,11 @@ class BenchConfig:
             raise ValidationError("volume_path and truth_path must be given together")
         if int(self.probe_steps) < 1:
             raise ValidationError(f"probe_steps must be >= 1, got {self.probe_steps}")
+        # build what every cell builds, so a bad setting fails here, once,
+        # instead of filling every row of the report with the same error
+        self.fcm_config(), self.attraction_params(), self.pso_config(0), self.ga_config(0)
+        for kind, percent, seed in product(self.noise_kinds, self.noise_percents, self.seeds):
+            NoiseSpec(kind, percent, seed)
 
     @property
     def cluster_count(self) -> int:
@@ -230,15 +236,13 @@ def run_sweep(cfg: BenchConfig, param: str, grid, algorithm: str,
     """Vary one hyperparameter over ``grid`` with everything else fixed."""
     if param not in ("h", "v", "percent"):
         raise ValidationError(f"sweep parameter must be h, v or percent, got {param!r}")
+    # every grid point's config is built, and so checked, before any cell runs
+    points = [replace(cfg, algorithms=(algorithm,), **(
+        {"decay": float(value)} if param == "h" else
+        {"depth": int(value)} if param == "v" else
+        {"noise_percents": (float(value),)})) for value in grid]
     out = []
-    for value in grid:
-        if param == "h":
-            point = replace(cfg, algorithms=(algorithm,), decay=float(value))
-        elif param == "v":
-            point = replace(cfg, algorithms=(algorithm,), depth=int(value))
-        else:
-            point = replace(cfg, algorithms=(algorithm,),
-                            noise_percents=(float(value),))
+    for value, point in zip(grid, points):
         rows, _ = run_benchmark(point, threads=threads, log=log)
         good = [float(r["IncS"]) for r in rows
                 if r["cluster"] == "mean" and r["status"] == "ok"]

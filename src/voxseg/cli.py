@@ -146,6 +146,7 @@ def build_parser() -> _Parser:
                      description="fuzzy segmentation of volumetric images")
     _globals(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", metavar="command")
+    parser.commands = sub.choices
 
     p = sub.add_parser("phantom", help="generate a nested-cuboid test volume",
                        parents=[], add_help=True)
@@ -233,29 +234,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args, argv: list[str]) -> None:
-    if getattr(args, "config", None) is None:
-        return
+def _apply_config(parser, args, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` again with the --config file's values as defaults, so
+    a flag given on the command line, as argparse resolves it (--dim is
+    --dims), wins.  Global keys are defaults of the main parser, the rest of
+    the subcommand's."""
     path = Path(args.config)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
-    # a fresh parser with every default suppressed: parsing argv again keeps
-    # just the flags given, resolved as argparse resolves them (--dim is --dims)
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     table = {}
-    for p in (parser, sub.choices[args.command]):
-        p._defaults.clear()
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
+    for owner in (parser.commands[args.command], parser):
+        for action in owner._actions:
             if action.dest in ("help", "command", "config") or not action.option_strings:
                 continue
-            table[action.dest] = action
-            for opt in action.option_strings:
-                table[opt.lstrip("-").replace("-", "_")] = action
-    explicit = set(vars(parser.parse_args(argv)))
+            for key in (action.dest, *action.option_strings):
+                table[key.lstrip("-").replace("-", "_")] = owner, action
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -264,13 +259,11 @@ def _apply_config(args, argv: list[str]) -> None:
         if not sep:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = key.strip(), value.strip()
-        action = table.get(key.replace("-", "_"))
-        if action is None:
+        if key.replace("-", "_") not in table:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-        if action.dest in explicit:
-            continue  # command-line flags win over the config file
+        owner, action = table[key.replace("-", "_")]
         try:
-            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+            if action.nargs == 0:  # a store_true/store_false switch
                 parsed = _parse_bool(value)
             elif action.type is not None:
                 parsed = action.type(value)
@@ -281,7 +274,8 @@ def _apply_config(args, argv: list[str]) -> None:
         if action.choices is not None and parsed not in action.choices:
             raise ValidationError(
                 f"{path}:{lineno}: {key} must be one of {tuple(action.choices)}")
-        setattr(args, action.dest, parsed)
+        owner.set_defaults(**{action.dest: parsed})
+    return parser.parse_args(argv)
 
 
 def _load_input(loader, path):
@@ -426,7 +420,8 @@ def main(argv=None) -> int:
         if getattr(args, "command", None) is None:
             parser.print_help(sys.stderr)
             return 1
-        _apply_config(args, argv)
+        if args.config is not None:
+            args = _apply_config(parser, args, argv)
         args.func(args)
     except (ValidationError, FileNotFoundError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,8 +3,9 @@
 All five algorithms run the same stages: one neighbour context per slice
 (in-plane in 2-D; shells into adjacent slices for ``3dpifcm``), one
 GMM-seeded fuzzy c-means start, then weights that are given (``ifcm``) or
-tuned by probing a short attraction update from that start, and attraction
-Picard steps run by :func:`voxseg.fcm.settle`, fuzzy c-means' own loop.
+tuned by probing a few attraction steps from that start, then attraction
+steps run by :func:`voxseg.fcm.settle`, fuzzy c-means' own loop.  Probe and
+loop run the same step, :func:`voxseg.attraction.ifcm_step`.
 Plain ``fcm`` skips the weights and that run: its start is its answer.
 Every result names why its loop stopped and takes its labels from
 :func:`voxseg.metrics.defuzzify`.
@@ -19,8 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from voxseg.attraction import (AttractionParams, NeighbourContext, ifcm_step,
-                               picard_update, plane_context, scaled_distances,
-                               slice_context)
+                               plane_context, slice_context)
 from voxseg.errors import ValidationError
 from voxseg.fcm import FcmConfig, FcmResult, check_membership, fcm, gmm_init, settle
 from voxseg.metrics import defuzzify
@@ -79,19 +79,17 @@ def _converge(ctx, u, centers, params: AttractionParams | None, cfg: FcmConfig,
 
 def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
            steps: int):
-    """Objective for weight search: cost after ``steps`` attraction updates
-    from the frozen starting state.
+    """Objective for weight search: cost after ``steps`` runs of
+    :func:`ifcm_step` from the frozen starting state.
 
-    The neighbourhood terms and base distances depend only on the start
-    state, so the first update is shared across all candidate weights.
+    The neighbourhood terms depend only on the start state, so they are
+    gathered once and every candidate's first step reuses them.
     """
-    h, f = ctx.attraction_terms(u0, centers0, cfg.fuzziness)
-    base = (ctx.data[:, None] - centers0) ** 2
+    terms = ctx.attraction_terms(u0, centers0, cfg.fuzziness)
 
     def propagate(feature_weight: float, spatial_weight: float):
-        d2 = scaled_distances(base, h, f, feature_weight, spatial_weight)
-        u, centers, cost = picard_update(ctx.data, d2, cfg.fuzziness)
         p = replace(params, feature_weight=feature_weight, spatial_weight=spatial_weight)
+        u, centers, cost = ifcm_step(ctx, u0, centers0, p, cfg, terms)
         for _ in range(steps - 1):
             u, centers, cost = ifcm_step(ctx, u, centers, p, cfg)
         return u, centers, cost

@@ -209,9 +209,11 @@ def save_volume(v: Volume | LabelVolume, path) -> None:
     if type(v) not in _VXF:
         raise ValidationError(f"cannot save object of type {type(v).__name__}")
     code, payload, names, _ = _VXF[type(v)]
-    header = (_MAGIC + _HEADER.pack(code, *v.dims)
-              + struct.pack(f"<{len(names)}f", *(getattr(v, name) for name in names)))
-    Path(path).write_bytes(header + v.flat().astype(payload).tobytes())
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC + _HEADER.pack(code, *v.dims)
+                 + struct.pack(f"<{len(names)}f", *(getattr(v, name) for name in names)))
+        # straight from the payload's own buffer: at most the one copy flat() makes
+        fh.write(v.flat().astype(payload, copy=False))
 
 
 def _load(path, want):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from voxseg import bench
 from voxseg.bench import (ALGORITHMS, COMPARISON_COLUMNS, REPORT_COLUMNS,
                           SWEEP_COLUMNS, BenchConfig, comparison_rows,
                           resolve_slice, run_benchmark, run_cell, run_sweep,
@@ -73,6 +74,19 @@ class TestConfigValidation:
             small_config(volume_path="vol.vxf")
         with pytest.raises(ValidationError):
             small_config(truth_path="truth.vxf")
+
+    @pytest.mark.parametrize("bad", [
+        {"fuzziness": 0.5}, {"tolerance": 0.0}, {"max_iterations": 0},
+        {"depth": 9}, {"level": 1}, {"decay": 0.0}, {"feature_weight": 1.5},
+        {"swarm_size": 1}, {"pso_max_iter": 0}, {"omega": -1.0},
+        {"population": 1}, {"generations": 0}, {"crossover_rate": 2.0},
+        {"noise_kinds": ("gaussian", "speckle")}, {"noise_percents": (5.0, 150.0)},
+        {"seeds": (0, -1)},
+    ], ids=lambda bad: next(iter(bad)))
+    def test_bad_setting_fails_when_built(self, bad):
+        # refused once, not in an error row for every cell
+        with pytest.raises(ValidationError):
+            small_config(**bad)
 
     def test_cluster_count_defaults_to_shells(self):
         assert small_config(shells=3).cluster_count == 3
@@ -272,6 +286,14 @@ class TestSweep:
     def test_unknown_parameter(self):
         with pytest.raises(ValidationError):
             run_sweep(small_config(), "m", (2.0,), "fcm")
+
+    @pytest.mark.parametrize("param, grid", [("v", (2.0, 9.0)), ("h", (1.0, 0.0)),
+                                             ("percent", (5.0, 150.0))])
+    def test_bad_grid_value_fails_before_any_cell(self, monkeypatch, param, grid):
+        monkeypatch.setattr(bench, "run_benchmark",
+                            lambda *args, **kwargs: pytest.fail("a cell ran"))
+        with pytest.raises(ValidationError):
+            run_sweep(small_config(), param, grid, "3dpifcm")
 
 
 class TestWriteCsv:

@@ -350,6 +350,20 @@ def test_explicit_flags_beat_config(tmp_path, flag):
     assert load_volume(out).dims == (8, 8, 8)
 
 
+@pytest.mark.parametrize("before, after, seed", [
+    ([], [], 5), (["--seed", "3"], [], 3), ([], ["--seed", "3"], 3)],
+    ids=["config", "global flag before the subcommand", "flag after the subcommand"])
+def test_seed_flag_beats_config_on_either_side(assets, tmp_path, before, after, seed):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed=5\nquiet=yes\n")
+    out = tmp_path / "n.vxf"
+    assert main([*before, "noise", "--in", str(assets["vol"]), "--out", str(out),
+                 "--kind", "gaussian", "--percent", "5", "--config", str(config),
+                 *after]) == 0
+    assert load_volume(out) == add_noise(load_volume(assets["vol"]),
+                                         NoiseSpec("gaussian", 5.0, seed))
+
+
 # every flag segment, bench and sweep share, each at a non-default value
 METHOD_FLAGS = ["--c", "3", "--m", "2.5", "--eps", "0.02", "--max-iter", "77",
                 "--L", "3", "--v", "2", "--h", "1.7", "--lam", "0.3", "--xi", "0.6",

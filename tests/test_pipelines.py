@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from voxseg import pipelines
-from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, plane_context,
-                               slice_context)
+from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, ifcm_step,
+                               plane_context, slice_context)
 from voxseg.errors import ValidationError
 from voxseg.fcm import (FcmConfig, gmm_fcm, jm_cost, update_centers,
                         update_membership)
@@ -275,3 +275,26 @@ def test_probe_cost_never_rises_with_either_weight(three_d):
         for costs in ([propagate(w, other)[2] for w in grid],
                       [propagate(other, w)[2] for w in grid]):
             assert all(b <= a + 1e-12 * abs(a) for a, b in zip(costs, costs[1:]))
+
+
+@pytest.mark.parametrize("three_d", [False, True], ids=["2d", "3d"])
+def test_probe_runs_ifcm_step_from_the_start(three_d):
+    # the probe's first step reuses the start's terms, yet gives the same
+    # bits as ifcm_step gathering them itself; another candidate first
+    # shows that the shared terms stay unchanged
+    noisy, _ = noisy_phantom(dims=(24, 24, 24), percent=10.0, seed=7)
+    ref = SliceRef("z", 12)
+    params = AttractionParams(0.6, 0.3, depth=3, decay=1.5)
+    ctx = (slice_context(noisy, ref, 3, 1.5) if three_d
+           else plane_context(extract_slice(noisy, ref)))
+    start = _initial_state(ctx, 4, CFG)
+    for steps in (1, 3):
+        propagate = _probe(ctx, start.membership, start.centers, CFG, params, steps)
+        propagate(0.2, 0.9)
+        probed = propagate(0.6, 0.3)
+        stepped = (start.membership, start.centers)
+        for _ in range(steps):
+            stepped = ifcm_step(ctx, *stepped[:2], params, CFG)
+        assert np.array_equal(probed[0], stepped[0])
+        assert np.array_equal(probed[1], stepped[1])
+        assert probed[2] == stepped[2]

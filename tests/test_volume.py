@@ -222,6 +222,24 @@ def test_load_volume_holds_one_payload(tmp_path, kind):
     assert peak < 1.5 * data.nbytes
 
 
+@pytest.mark.parametrize("kind", GRIDS)
+def test_save_volume_holds_one_payload(tmp_path, kind):
+    # the payload is written from its own buffer: no bytes copy and no
+    # header-plus-payload join
+    make, _, dtype, _, load = GRIDS[kind]
+    path = tmp_path / "x.vxf"
+    data = np.random.default_rng(5).uniform(0, 100, size=(64, 64, 64)).astype(dtype)
+    grid = make((64, 64, 64), data)
+    tracemalloc.start()
+    try:
+        save_volume(grid, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert load(path) == grid
+    assert peak < 1.5 * data.nbytes
+
+
 def test_slice_ref_parse():
     ref = SliceRef.parse("z:60")
     assert (ref.axis, ref.index) == ("z", 60)
