@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -46,26 +46,26 @@ class BenchConfig:
     slice_spec: str = "mid"          # "mid" or an axis:index reference
     volume_path: str | None = None   # segment an external volume instead
     truth_path: str | None = None
-    fuzziness: float = 2.0
-    tolerance: float = 0.01
-    max_iterations: int = 150
-    level: int = 2
-    depth: int = 3
-    decay: float = 1.1
+    fuzziness: float = FcmConfig.fuzziness
+    tolerance: float = FcmConfig.tolerance
+    max_iterations: int = FcmConfig.max_iterations
+    level: int = AttractionParams.level
+    depth: int = AttractionParams.depth
+    decay: float = AttractionParams.decay
     feature_weight: float = 0.5      # fixed weights for the plain ifcm entry
     spatial_weight: float = 0.5
-    swarm_size: int = 50
-    pso_max_iter: int = 20
-    omega: float = 0.5
-    phip: float = 0.5
-    phig: float = 0.5
-    minstep: float = 1e-8
-    minfunc: float = 1e-8
-    population: int = 50
-    generations: int = 20
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.1
-    mutation_sigma: float = 0.1
+    swarm_size: int = PsoConfig.swarm_size
+    pso_max_iter: int = PsoConfig.max_iter
+    omega: float = PsoConfig.omega
+    phip: float = PsoConfig.phip
+    phig: float = PsoConfig.phig
+    minstep: float = PsoConfig.minstep
+    minfunc: float = PsoConfig.minfunc     # reaches the GA too
+    population: int = GaConfig.population
+    generations: int = GaConfig.generations
+    crossover_rate: float = GaConfig.crossover_rate
+    mutation_rate: float = GaConfig.mutation_rate
+    mutation_sigma: float = GaConfig.mutation_sigma
     probe_steps: int = 1
     literal_incs: bool = False
     per_cluster: bool = False
@@ -78,6 +78,8 @@ class BenchConfig:
             raise ValidationError("benchmark matrix must have at least one cell")
         if (self.volume_path is None) != (self.truth_path is None):
             raise ValidationError("volume_path and truth_path must be given together")
+        if self.cluster_count < 1:
+            raise ValidationError(f"cluster count must be >= 1, got {self.cluster_count}")
         if int(self.probe_steps) < 1:
             raise ValidationError(f"probe_steps must be >= 1, got {self.probe_steps}")
         # build what every cell builds, so a bad setting fails here, once,
@@ -90,22 +92,22 @@ class BenchConfig:
     def cluster_count(self) -> int:
         return int(self.clusters) if self.clusters is not None else int(self.shells)
 
+    def _build(self, component, **extra):
+        """``component`` from this config's fields of the same names, plus ``extra``."""
+        return component(**{f.name: vars(self)[f.name] for f in fields(component)
+                            if f.name in vars(self)}, **extra)
+
     def fcm_config(self) -> FcmConfig:
-        return FcmConfig(self.fuzziness, self.tolerance, self.max_iterations)
+        return self._build(FcmConfig)
 
     def attraction_params(self) -> AttractionParams:
-        return AttractionParams(self.feature_weight, self.spatial_weight,
-                                self.level, self.depth, self.decay)
+        return self._build(AttractionParams)
 
     def pso_config(self, seed: int) -> PsoConfig:
-        return PsoConfig(swarm_size=self.swarm_size, omega=self.omega,
-                         phip=self.phip, phig=self.phig, max_iter=self.pso_max_iter,
-                         minstep=self.minstep, minfunc=self.minfunc, seed=seed)
+        return self._build(PsoConfig, max_iter=self.pso_max_iter, seed=seed)
 
     def ga_config(self, seed: int) -> GaConfig:
-        return GaConfig(population=self.population, generations=self.generations,
-                        crossover_rate=self.crossover_rate, mutation_rate=self.mutation_rate,
-                        mutation_sigma=self.mutation_sigma, minfunc=self.minfunc, seed=seed)
+        return self._build(GaConfig, seed=seed)
 
 
 def resolve_slice(spec: str, dims: tuple[int, int, int]) -> SliceRef:
@@ -167,20 +169,12 @@ def run_cell(cfg: BenchConfig, algorithm: str, kind: str, percent: float,
     return [dict(base, **row, wall_time_ms=wall_time_ms, status=status) for row in rows]
 
 
-def _cells(cfg: BenchConfig):
-    for algorithm in cfg.algorithms:
-        for kind in cfg.noise_kinds:
-            for percent in cfg.noise_percents:
-                for seed in cfg.seeds:
-                    yield algorithm, kind, percent, seed
-
-
 def run_benchmark(cfg: BenchConfig, threads: int = 1,
                   log=None) -> tuple[list[dict], list[dict]]:
     """Run the whole matrix; returns (report rows, comparison rows)."""
     if int(threads) < 1:
         raise ValidationError("threads must be at least 1")
-    cells = list(_cells(cfg))
+    cells = list(product(cfg.algorithms, cfg.noise_kinds, cfg.noise_percents, cfg.seeds))
     if threads == 1:
         groups = [run_cell(cfg, *cell) for cell in cells]
     else:
@@ -236,6 +230,8 @@ def run_sweep(cfg: BenchConfig, param: str, grid, algorithm: str,
     """Vary one hyperparameter over ``grid`` with everything else fixed."""
     if param not in ("h", "v", "percent"):
         raise ValidationError(f"sweep parameter must be h, v or percent, got {param!r}")
+    if param == "v" and not all(float(value).is_integer() for value in grid):
+        raise ValidationError(f"v counts shells, so it must be a whole number: {list(grid)}")
     # every grid point's config is built, and so checked, before any cell runs
     points = [replace(cfg, algorithms=(algorithm,), **(
         {"decay": float(value)} if param == "h" else

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: phantom, noise, segment, eval, bench, sweep.  Global flags
-(--config/--seed/--threads/--quiet) are accepted both before and after
-the subcommand; values from a --config file (key=value lines, keys named
-after the long flags or the settings they fill) fill in anything not
-given explicitly on the command line.
+(--config/--seed/--threads/--quiet) are accepted before and after the
+subcommand.  A flag that fills a BenchConfig field has its name and default;
+--config file lines (key=value, keys named after the long flags or those
+fields) fill in anything not given explicitly on the command line.
 
 Exit codes: 0 on success, 1 for validation problems (bad flags, bad or
 unreadable inputs), 2 for runtime failures.  Output files are written
@@ -46,16 +46,12 @@ def _triple(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p != "")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p != "")
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+def _list_of(kind):
+    """Flag type: comma-separated ``kind`` items, blank items skipped."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(p.strip()) for p in text.split(",") if p.strip())
+    parse.__name__ = f"{kind.__name__} list"  # argparse names the type in errors
+    return parse
 
 
 def _parse_bool(text: str) -> bool:
@@ -82,63 +78,62 @@ def _globals(parser, suppress: bool):
                         help="suppress progress output")
 
 
-def _method_flags(parser):
-    parser.add_argument("--c", "--clusters", dest="clusters", type=int, default=4,
-                        help="number of clusters (default 4)")
+def _method_flags(parser, *unset):
+    """The method flags; then every flag added so far that fills a BenchConfig
+    field takes that field's default, but for --lam/--xi and ``unset``, whose
+    None ("search", or segment's own slice) ``_settings`` leaves out."""
+    parser.add_argument("--c", "--clusters", dest="clusters", type=int,
+                        help=f"number of clusters (default {BenchConfig().cluster_count})")
     parser.add_argument("--m", "--fuzziness", dest="fuzziness", type=float,
-                        default=2.0, help="fuzziness exponent (default 2)")
+                        help="fuzziness exponent (default %(default)s)")
     parser.add_argument("--eps", "--tolerance", dest="tolerance", type=float,
-                        default=0.01, help="membership-shift stop threshold")
-    parser.add_argument("--max-iter", dest="max_iterations", type=int, default=150,
-                        help="iteration cap (default 150)")
-    parser.add_argument("--L", "--level", dest="level", type=int, default=2,
-                        help="2-D neighbourhood level: 2 = 4 neighbours, 3 = 8")
-    parser.add_argument("--v", "--depth", dest="depth", type=int, default=3,
-                        help="number of 3-D neighbour shells (default 3)")
-    parser.add_argument("--h", "--decay", dest="decay", type=float, default=1.1,
-                        help="shell weight decay (default 1.1)")
-    parser.add_argument("--lam", "--feature-weight", dest="feature_weight",
-                        type=float, default=None,
-                        help="intensity attraction weight in [0, 1], given with "
-                             "--xi. segment: ifcm runs at it (default 0.5) and "
-                             "ifcmpso/gaifcm/3dpifcm run at it instead of "
-                             "searching. bench/sweep: only ifcm uses it "
-                             "(default 0.5); the tuned algorithms always search")
-    parser.add_argument("--xi", "--spatial-weight", dest="spatial_weight",
-                        type=float, default=None,
+                        help="membership-shift stop threshold (default %(default)s)")
+    parser.add_argument("--max-iter", dest="max_iterations", type=int,
+                        help="iteration cap (default %(default)s)")
+    parser.add_argument("--L", "--level", dest="level", type=int, help="2-D neighbourhood "
+                        "level: 2 = 4 neighbours, 3 = 8 (default %(default)s)")
+    parser.add_argument("--v", "--depth", dest="depth", type=int,
+                        help="number of 3-D neighbour shells (default %(default)s)")
+    parser.add_argument("--h", "--decay", dest="decay", type=float,
+                        help="shell weight decay (default %(default)s)")
+    parser.add_argument("--lam", "--feature-weight", dest="feature_weight", type=float,
+                        help="intensity attraction weight in [0, 1], given with --xi. "
+                             f"segment: ifcm runs at it (default {BenchConfig.feature_weight}) "
+                             "and ifcmpso/gaifcm/3dpifcm run at it instead of searching. "
+                             "bench/sweep: only ifcm uses it (default "
+                             f"{BenchConfig.feature_weight}); the tuned algorithms always search")
+    parser.add_argument("--xi", "--spatial-weight", dest="spatial_weight", type=float,
                         help="proximity attraction weight in [0, 1], given with "
                              "--lam and used the same way")
-    parser.add_argument("--swarm", dest="swarm_size", type=int, default=50)
-    parser.add_argument("--opt-iters", dest="pso_max_iter", type=int, default=20,
-                        help="optimizer iterations / generations")
-    parser.add_argument("--omega", type=float, default=0.5)
-    parser.add_argument("--phip", type=float, default=0.5)
-    parser.add_argument("--phig", type=float, default=0.5)
-    parser.add_argument("--minstep", type=float, default=1e-8)
-    parser.add_argument("--minfunc", type=float, default=1e-8)
-    parser.add_argument("--population", type=int, default=50)
-    parser.add_argument("--crossover", dest="crossover_rate", type=float, default=0.8)
-    parser.add_argument("--mutation", dest="mutation_rate", type=float, default=0.1)
-    parser.add_argument("--mutation-sigma", dest="mutation_sigma", type=float,
-                        default=0.1)
-    parser.add_argument("--probe-steps", dest="probe_steps", type=int, default=1,
-                        help="attraction steps per candidate evaluation")
+    parser.add_argument("--swarm", dest="swarm_size", type=int)
+    parser.add_argument("--opt-iters", dest="pso_max_iter", type=int,
+                        help="optimizer iterations / generations (default %(default)s)")
+    parser.add_argument("--omega", type=float)
+    parser.add_argument("--phip", type=float)
+    parser.add_argument("--phig", type=float)
+    parser.add_argument("--minstep", type=float)
+    parser.add_argument("--minfunc", type=float)
+    parser.add_argument("--population", type=int)
+    parser.add_argument("--crossover", dest="crossover_rate", type=float)
+    parser.add_argument("--mutation", dest="mutation_rate", type=float)
+    parser.add_argument("--mutation-sigma", dest="mutation_sigma", type=float)
+    parser.add_argument("--probe-steps", dest="probe_steps", type=int,
+                        help="attraction steps per candidate evaluation (default %(default)s)")
+    own = {f.name: f.default for f in fields(BenchConfig)
+           if f.name not in ("feature_weight", "spatial_weight", *unset)}
+    parser.set_defaults(**{a.dest: own[a.dest] for a in parser._actions if a.dest in own})
 
 
 def _matrix_flags(parser):
-    """The noise matrix and phantom flags bench and sweep share, then the
-    method flags with one cluster per phantom shell by default."""
-    parser.add_argument("--kinds", dest="noise_kinds", type=_str_list,
-                        default=("gaussian",))
-    parser.add_argument("--percents", dest="noise_percents", type=_float_list,
-                        default=(5.0,))
-    parser.add_argument("--seeds", type=_int_list, default=(0, 1, 2))
-    parser.add_argument("--dims", type=_triple, default=(96, 96, 96))
-    parser.add_argument("--shells", type=int, default=4)
-    parser.add_argument("--slice", dest="slice_spec", default="mid",
-                        help='plane to segment: "mid" or e.g. z:48')
+    """The noise matrix and phantom flags bench and sweep share, then the method flags."""
+    parser.add_argument("--kinds", dest="noise_kinds", type=_list_of(str))
+    parser.add_argument("--percents", dest="noise_percents", type=_list_of(float))
+    parser.add_argument("--seeds", type=_list_of(int))
+    parser.add_argument("--dims", type=_triple)
+    parser.add_argument("--shells", type=int)
+    parser.add_argument("--slice", dest="slice_spec",
+                        help='plane to segment: "mid" or e.g. z:48 (default %(default)s)')
     _method_flags(parser)
-    parser.set_defaults(clusters=None)
 
 
 def build_parser() -> _Parser:
@@ -177,10 +172,10 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--algo", "--algorithm", dest="algorithm",
                    choices=ALGORITHMS, required=True)
-    p.add_argument("--slice", dest="slice_spec", default=None,
+    p.add_argument("--slice", dest="slice_spec",
                    help="plane to segment, e.g. z:60 (default: z:60 when "
                         "the volume is deep enough, else the middle z plane)")
-    _method_flags(p)
+    _method_flags(p, "slice_spec")
     p.add_argument("--out", required=True, help="output label slice (.vxf)")
     p.add_argument("--pgm", default=None,
                    help="also render the segmentation as a PGM image")
@@ -207,7 +202,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="run the algorithm x noise benchmark matrix")
     _globals(p, suppress=True)
-    p.add_argument("--algorithms", type=_str_list, default=("fcm", "3dpifcm"))
+    p.add_argument("--algorithms", type=_list_of(str))
     _matrix_flags(p)
     p.add_argument("--volume", dest="volume_path", default=None,
                    help="benchmark this volume instead of a generated phantom")
@@ -224,7 +219,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="vary one hyperparameter and track mean IncS")
     _globals(p, suppress=True)
     p.add_argument("--param", choices=("h", "v", "percent"), required=True)
-    p.add_argument("--grid", type=_float_list, required=True)
+    p.add_argument("--grid", type=_list_of(float), required=True)
     p.add_argument("--algo", "--algorithm", dest="algorithm",
                    choices=ALGORITHMS, default="3dpifcm")
     _matrix_flags(p)
@@ -344,12 +339,12 @@ def cmd_segment(args) -> None:
     settings = _settings(args)
     fixed = (None if args.feature_weight is None
              else (args.feature_weight, args.spatial_weight))
-    result = segment(args.algorithm, vol, ref, args.clusters, settings.fcm_config(),
+    result = segment(args.algorithm, vol, ref, settings.cluster_count, settings.fcm_config(),
                      settings.attraction_params(), settings.pso_config(args.seed),
-                     settings.ga_config(args.seed), fixed, args.probe_steps)
+                     settings.ga_config(args.seed), fixed, settings.probe_steps)
     labels = result.labels
     scores = (None if truth_slice is None
-              else evaluate_labels(labels, truth_slice, args.clusters))
+              else evaluate_labels(labels, truth_slice, settings.cluster_count))
 
     save_volume(labels, args.out)
     if args.membership:
@@ -389,8 +384,8 @@ def cmd_eval(args) -> None:
 
 def _settings(args) -> BenchConfig:
     """BenchConfig from the flags named after its fields; --opt-iters also
-    sets the GA's generations, and without --lam/--xi ifcm runs at the
-    default (0.5, 0.5)."""
+    sets the GA's generations, and without --lam/--xi ifcm runs at
+    BenchConfig's default weights."""
     if (args.feature_weight is None) != (args.spatial_weight is None):
         raise ValidationError("--lam and --xi must be given together")
     given = {f.name: getattr(args, f.name) for f in fields(BenchConfig)

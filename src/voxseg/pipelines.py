@@ -57,17 +57,17 @@ def _initial_state(ctx, clusters: int, cfg: FcmConfig):
     return fcm(ctx.data, clusters, cfg, init_centers=centers0)
 
 
-def _converge(ctx, u, centers, params: AttractionParams | None, cfg: FcmConfig,
-              started: float, start: FcmResult | None = None) -> SegmentationResult:
-    """Settle attraction updates at ``params`` from ``(u, centers)``, check
-    the memberships and package the result.  Plain fcm passes
-    ``params=None`` and its fit as ``start``, as its start is its answer."""
+def _converge(ctx, state, params: AttractionParams | None, cfg: FcmConfig,
+              started: float) -> SegmentationResult:
+    """Settle attraction updates at ``params`` from ``state``, a (u, centers)
+    pair or fit, check the memberships and package the result.  Plain fcm
+    passes ``params=None`` and its fit, as its start is its answer."""
     if params is None:
-        weights, fit = (None, None), start
+        weights, fit = (None, None), state
     else:
         weights = (float(params.feature_weight), float(params.spatial_weight))
         fit = settle(lambda u, centers: (u, *ifcm_step(ctx, u, centers, params, cfg)),
-                     u, centers, cfg)
+                     state[0], state[1], cfg)
     check_membership(fit.membership)
     return SegmentationResult(
         membership=fit.membership, centers=fit.centers,
@@ -97,6 +97,23 @@ def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
     return propagate
 
 
+def _search(propagate, minimize, opt_cfg):
+    """Weights ``minimize`` picks over the probe ``propagate``, the no-attraction point planted,
+    and the state kept from the first strictly lowest candidate: the minimisers' tie rule."""
+    kept = [np.inf, None, None]     # cost, weights, (u, centers)
+
+    def objective(pos):
+        u, centers, cost = propagate(pos[0], pos[1])
+        if cost < kept[0]:
+            kept[:] = cost, (float(pos[0]), float(pos[1])), (u, centers)
+        return cost
+
+    best = minimize(objective, opt_cfg, seed_points=[(0.0, 0.0)])
+    if kept[1] != tuple(best.position.tolist()):
+        raise RuntimeError(f"the probe kept {kept[1]}, the search chose {best.position}")
+    return kept[1], kept[2]
+
+
 def ifcm(domain, params: AttractionParams, init,
          cfg: FcmConfig | None = None) -> SegmentationResult:
     """Attraction-distance clustering at fixed weights.
@@ -118,35 +135,27 @@ def ifcm(domain, params: AttractionParams, init,
     if u.shape != (ctx.data.size, centers.size):
         raise ValidationError(f"init shapes {u.shape} / {centers.shape} do not "
                               f"match {ctx.data.size} voxels")
-    return _converge(ctx, u, centers, params, cfg, started)
+    return _converge(ctx, (u, centers), params, cfg, started)
 
 
 def _tuned(build, clusters: int, cfg: FcmConfig | None, params: AttractionParams,
            minimize, opt_cfg, fixed, probe_steps: int) -> SegmentationResult:
     """The weight-tuned pipelines: fit the starting state on the context
-    ``build()`` returns, take the weights from ``fixed`` or from ``minimize``
-    over the probe objective (the no-attraction point planted in its
-    initial population), then converge at those weights."""
+    ``build()`` returns, then converge from it at the ``fixed`` weights, or
+    from the state :func:`_search` kept at the weights it picked."""
     if probe_steps < 1:
         raise ValidationError(f"probe_steps must be >= 1, got {probe_steps}")
     cfg = cfg or FcmConfig()
     opt_cfg = replace(opt_cfg, bounds=WEIGHT_BOUNDS)
     started = time.perf_counter()
     ctx = build()
-    state = _initial_state(ctx, clusters, cfg)
-    if fixed is not None:
-        weights = (float(fixed[0]), float(fixed[1]))
-        u, centers = state.membership, state.centers
-    else:
-        propagate = _probe(ctx, state.membership, state.centers, cfg, params,
-                           probe_steps)
-        best = minimize(lambda pos: propagate(pos[0], pos[1])[2], opt_cfg,
-                        seed_points=[(0.0, 0.0)])
-        weights = (float(best.position[0]), float(best.position[1]))
-        u, centers, _ = propagate(*weights)
-        del propagate, state  # the probe's frozen terms would outlive the search
+    state, weights = _initial_state(ctx, clusters, cfg), fixed
+    if weights is None:
+        # the probe, holding the start and its terms, goes once the search ends
+        weights, state = _search(_probe(ctx, state.membership, state.centers, cfg,
+                                        params, probe_steps), minimize, opt_cfg)
     tuned = replace(params, feature_weight=weights[0], spatial_weight=weights[1])
-    return _converge(ctx, u, centers, tuned, cfg, started)
+    return _converge(ctx, state, tuned, cfg, started)
 
 
 def pso_ifcm(img, clusters: int, cfg: FcmConfig | None = None,
@@ -222,5 +231,4 @@ def segment(algorithm: str, vol: Volume, ref: SliceRef, clusters: int,
         # the wall time covers the start, as it does for the other four
         return replace(ifcm(ctx, params, state, cfg),
                        wall_time=time.perf_counter() - started)
-    return _converge(ctx, state.membership, state.centers, None, cfg, started,
-                     state)
+    return _converge(ctx, state, None, cfg, started)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from voxseg import bench
+from voxseg.attraction import AttractionParams
 from voxseg.bench import (ALGORITHMS, COMPARISON_COLUMNS, REPORT_COLUMNS,
                           SWEEP_COLUMNS, BenchConfig, comparison_rows,
                           resolve_slice, run_benchmark, run_cell, run_sweep,
@@ -15,6 +16,7 @@ from voxseg.errors import ValidationError
 from voxseg.fcm import FcmConfig, gmm_fcm
 from voxseg.metrics import defuzzify, evaluate_labels, relative_improvement
 from voxseg.noise import NoiseSpec, add_noise
+from voxseg.optimize import GaConfig, PsoConfig
 from voxseg.phantom import PhantomSpec, generate_phantom
 from voxseg.volume import SliceRef, extract_slice, save_volume
 
@@ -81,12 +83,21 @@ class TestConfigValidation:
         {"swarm_size": 1}, {"pso_max_iter": 0}, {"omega": -1.0},
         {"population": 1}, {"generations": 0}, {"crossover_rate": 2.0},
         {"noise_kinds": ("gaussian", "speckle")}, {"noise_percents": (5.0, 150.0)},
-        {"seeds": (0, -1)},
+        {"seeds": (0, -1)}, {"clusters": 0}, {"clusters": -2},
     ], ids=lambda bad: next(iter(bad)))
     def test_bad_setting_fails_when_built(self, bad):
         # refused once, not in an error row for every cell
         with pytest.raises(ValidationError):
             small_config(**bad)
+
+    def test_method_defaults_are_their_owners(self):
+        # BenchConfig takes each method default from the class that checks
+        # it; only the fixed ifcm weights are its own
+        cfg = BenchConfig()
+        assert cfg.fcm_config() == FcmConfig()
+        assert cfg.attraction_params() == AttractionParams(0.5, 0.5)
+        assert cfg.pso_config(3) == PsoConfig(seed=3)
+        assert cfg.ga_config(3) == GaConfig(seed=3)
 
     def test_cluster_count_defaults_to_shells(self):
         assert small_config(shells=3).cluster_count == 3
@@ -288,7 +299,7 @@ class TestSweep:
             run_sweep(small_config(), "m", (2.0,), "fcm")
 
     @pytest.mark.parametrize("param, grid", [("v", (2.0, 9.0)), ("h", (1.0, 0.0)),
-                                             ("percent", (5.0, 150.0))])
+                                             ("percent", (5.0, 150.0)), ("v", (2.0, 2.5))])
     def test_bad_grid_value_fails_before_any_cell(self, monkeypatch, param, grid):
         monkeypatch.setattr(bench, "run_benchmark",
                             lambda *args, **kwargs: pytest.fail("a cell ran"))

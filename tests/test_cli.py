@@ -428,6 +428,17 @@ def test_flags_fill_bench_config(assets, monkeypatch, command):
             algorithms=("gaifcm",), **MATRIX_SETTINGS, **METHOD_SETTINGS)
 
 
+@pytest.mark.parametrize("argv", [
+    ["segment", "--in", "v.vxf", "--algo", "gaifcm", "--out", "l.vxf"],
+    ["bench"],
+    ["sweep", "--param", "h", "--grid", "1"],
+], ids=lambda argv: argv[0])
+def test_flag_defaults_are_bench_config_defaults(argv):
+    # the parser takes every default from BenchConfig, so a run without
+    # flags runs the protocol run_benchmark(BenchConfig()) runs
+    assert cli._settings(cli.build_parser().parse_args(argv)) == BenchConfig()
+
+
 def bench_settings_from_config(monkeypatch, tmp_path, lines):
     config = tmp_path / "run.cfg"
     config.write_text("".join(f"{line}\n" for line in lines))

@@ -13,7 +13,7 @@ from voxseg.fcm import (FcmConfig, gmm_fcm, jm_cost, update_centers,
                         update_membership)
 from voxseg.metrics import defuzzify, evaluate_labels
 from voxseg.noise import NoiseSpec, add_noise
-from voxseg.optimize import GaConfig, PsoConfig, pso_minimize
+from voxseg.optimize import GaConfig, OptResult, PsoConfig, pso_minimize
 from voxseg.phantom import PhantomSpec, generate_phantom
 from voxseg.pipelines import (ALGORITHMS, _initial_state, _probe, ga_ifcm, ifcm,
                                pso_ifcm, pso_ifcm_3d, segment)
@@ -275,6 +275,53 @@ def test_probe_cost_never_rises_with_either_weight(three_d):
         for costs in ([propagate(w, other)[2] for w in grid],
                       [propagate(other, w)[2] for w in grid]):
             assert all(b <= a + 1e-12 * abs(a) for a, b in zip(costs, costs[1:]))
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_tuned_segment_converges_from_the_winning_probe(monkeypatch, steps):
+    # the loop starts from the state the probe reached at the winning
+    # weights, kept during the search, so no probe step runs twice
+    counts = {"steps": 0, "evaluations": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    def search(func, cfg, seed_points=()):
+        return pso_minimize(counted("evaluations", func), cfg, seed_points)
+
+    monkeypatch.setattr(pipelines, "ifcm_step", counted("steps", ifcm_step))
+    monkeypatch.setattr(pipelines, "pso_minimize", search)
+    noisy, _ = noisy_phantom(dims=(24, 24, 24), seed=6)
+    ref = SliceRef("z", 12)
+    res = pso_ifcm_3d(noisy, ref, 4, pso=PsoConfig(swarm_size=5, max_iter=2, seed=1),
+                      probe_steps=steps)
+    assert counts["steps"] == counts["evaluations"] * steps + res.iterations
+    monkeypatch.undo()
+    # the same bits as probing the winner again and converging from there
+    ctx = slice_context(noisy, ref, 3, 1.1)
+    start = _initial_state(ctx, 4, CFG)
+    weights = (res.feature_weight, res.spatial_weight)
+    probed = _probe(ctx, start.membership, start.centers, CFG, AttractionParams(),
+                    steps)(*weights)
+    again = ifcm(ctx, AttractionParams(*weights), probed[:2])
+    assert np.array_equal(res.membership, again.membership)
+    assert np.array_equal(res.centers, again.centers)
+    assert res.iterations == again.iterations
+
+
+def test_search_that_strays_from_its_evaluations_fails(monkeypatch):
+    # the kept state must belong to the position the minimiser returns
+    def stray(func, cfg, seed_points=()):
+        value = func(np.zeros(2))
+        return OptResult(np.array([0.5, 0.5]), value, np.array([value]))
+
+    monkeypatch.setattr(pipelines, "pso_minimize", stray)
+    noisy, _ = noisy_phantom(dims=(16, 16, 16))
+    with pytest.raises(RuntimeError, match="search chose"):
+        pso_ifcm_3d(noisy, SliceRef("z", 8), 2)
 
 
 @pytest.mark.parametrize("three_d", [False, True], ids=["2d", "3d"])
