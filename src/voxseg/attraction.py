@@ -275,7 +275,7 @@ class PlaneContext(NeighbourContext):
     """Context for one 2-D image: a one-plane stack with a single shell,
     the level's in-plane offsets at dz = 0."""
 
-    def __init__(self, plane: np.ndarray, level: int = 2,
+    def __init__(self, plane: np.ndarray, level: int = AttractionParams.level,
                  label_dims: tuple[int, int, int] | None = None,
                  intensity_max: float | None = None):
         plane = np.asfortranarray(plane, dtype=np.float64)
@@ -291,7 +291,8 @@ class SliceContext(NeighbourContext):
     """Context for one slice segmented inside its volume, with concentric
     shells reaching into the adjacent slices."""
 
-    def __init__(self, vol: Volume, ref: SliceRef, depth: int = 3, decay: float = 1.1):
+    def __init__(self, vol: Volume, ref: SliceRef, depth: int = AttractionParams.depth,
+                 decay: float = AttractionParams.decay):
         dims = ref.plane_dims(vol.dims)
         shells = build_shell_table(depth).shells
         # only the planes the shells reach are read, so only those are copied
@@ -302,7 +303,7 @@ class SliceContext(NeighbourContext):
                          decay_weights(decay, depth), dims, vol.intensity_max)
 
 
-def plane_context(img: Volume | np.ndarray, level: int = 2) -> PlaneContext:
+def plane_context(img: Volume | np.ndarray, level: int = AttractionParams.level) -> PlaneContext:
     """Context for a 2-D image given as a single-slice volume or array."""
     if isinstance(img, Volume):
         return PlaneContext(img.plane(), level, label_dims=img.dims,
@@ -310,8 +311,8 @@ def plane_context(img: Volume | np.ndarray, level: int = 2) -> PlaneContext:
     return PlaneContext(np.asarray(img), level)
 
 
-def slice_context(vol: Volume, ref: SliceRef, depth: int = 3,
-                  decay: float = 1.1) -> SliceContext:
+def slice_context(vol: Volume, ref: SliceRef, depth: int = AttractionParams.depth,
+                  decay: float = AttractionParams.decay) -> SliceContext:
     """Context for one slice with shell neighbourhoods into the volume."""
     return SliceContext(vol, ref, depth, decay)
 

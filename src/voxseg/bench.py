@@ -5,6 +5,8 @@ corrupts it at the cell's noise level and seed, segments the configured
 slice, and scores the labels against the truth slice.  Rows come out in
 config order and all randomness is seeded per cell, so two runs of the
 same config produce identical reports except for wall-clock columns.
+The slice rule of every front end is :func:`resolve_slice` and
+:func:`cut_to_plane`; a bad slice fails before any cell runs.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ class BenchConfig:
         self.fcm_config(), self.attraction_params(), self.pso_config(0), self.ga_config(0)
         for kind, percent, seed in product(self.noise_kinds, self.noise_percents, self.seeds):
             NoiseSpec(kind, percent, seed)
+        if self.volume_path is None and len(self.dims) == 3:  # generate_phantom checks dims
+            resolve_slice(self.slice_spec, self.dims).plane_dims(self.dims)
 
     @property
     def cluster_count(self) -> int:
@@ -111,22 +115,36 @@ class BenchConfig:
 
 
 def resolve_slice(spec: str, dims: tuple[int, int, int]) -> SliceRef:
+    """The plane ``spec`` names in a volume of ``dims``: ``"mid"`` (the
+    middle z plane) or ``axis:index``, unchecked against ``dims``."""
     if spec == "mid":
         return SliceRef("z", dims[2] // 2)
     return SliceRef.parse(spec)
 
 
+def cut_to_plane(grid, ref: SliceRef, dims: tuple[int, int, int], what: str = "truth"):
+    """``grid`` as plane ``ref`` of a volume of ``dims``: kept when it has
+    the plane's dims, else cut by ``extract_slice``.  IndexError when ``ref``
+    lies outside ``dims`` or ``grid``; ValidationError when the cut lacks them."""
+    plane = ref.plane_dims(dims)
+    cut = grid if grid.dims == plane else extract_slice(grid, ref)
+    if cut.dims != plane:
+        raise ValidationError(f"{what} dims {grid.dims} do not cover slice dims {plane}")
+    return cut
+
+
 def _source(cfg: BenchConfig):
+    """The volume, its scored plane, and the truth cut to that plane."""
     if cfg.volume_path is not None:
-        return load_volume(cfg.volume_path), load_labels(cfg.truth_path)
-    vol, truth = generate_phantom(PhantomSpec(dims=cfg.dims, num_shells=cfg.shells))
-    return vol, truth
+        vol, truth = load_volume(cfg.volume_path), load_labels(cfg.truth_path)
+    else:
+        vol, truth = generate_phantom(PhantomSpec(dims=cfg.dims, num_shells=cfg.shells))
+    ref = resolve_slice(cfg.slice_spec, vol.dims)
+    return vol, ref, cut_to_plane(truth, ref, vol.dims)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".10g")
-    return str(x)
+    return format(x, ".10g") if isinstance(x, float) else str(x)
 
 
 def score_rows(scores: dict, per_cluster: bool = True) -> list[dict]:
@@ -142,8 +160,7 @@ def score_rows(scores: dict, per_cluster: bool = True) -> list[dict]:
 def run_cell(cfg: BenchConfig, algorithm: str, kind: str, percent: float,
              seed: int) -> list[dict]:
     """One matrix cell; failures land in the status column, not the caller."""
-    vol, truth = _source(cfg)
-    ref = resolve_slice(cfg.slice_spec, vol.dims)
+    vol, ref, truth = _source(cfg)
     started = time.perf_counter()
     base = {"algorithm": algorithm, "noise_kind": kind, "noise_percent": _fmt(float(percent)),
             "seed": seed, "lambda": "", "xi": "", "h": "", "v": "", "iterations": ""}
@@ -153,8 +170,7 @@ def run_cell(cfg: BenchConfig, algorithm: str, kind: str, percent: float,
         result = segment(algorithm, noisy, ref, cfg.cluster_count, cfg.fcm_config(),
                          cfg.attraction_params(), cfg.pso_config(seed),
                          cfg.ga_config(seed), probe_steps=cfg.probe_steps)
-        scores = evaluate_labels(result.labels, extract_slice(truth, ref),
-                                 cfg.cluster_count, cfg.literal_incs)
+        scores = evaluate_labels(result.labels, truth, cfg.cluster_count, cfg.literal_incs)
     except Exception as exc:  # keep the sweep alive; the row records why
         status, rows = f"error: {exc}", [dict.fromkeys(SCORE_COLUMNS, "")]
     else:
@@ -174,6 +190,8 @@ def run_benchmark(cfg: BenchConfig, threads: int = 1,
     """Run the whole matrix; returns (report rows, comparison rows)."""
     if int(threads) < 1:
         raise ValidationError("threads must be at least 1")
+    if cfg.volume_path is not None:
+        _source(cfg)  # the loaded pair's slice checks, once, before any cell runs
     cells = list(product(cfg.algorithms, cfg.noise_kinds, cfg.noise_percents, cfg.seeds))
     if threads == 1:
         groups = [run_cell(cfg, *cell) for cell in cells]
@@ -205,23 +223,20 @@ def comparison_rows(cfg: BenchConfig, rows: list[dict]) -> list[dict]:
         return float(np.mean(vals)) if vals else None
 
     out = []
-    for algorithm in cfg.algorithms:
-        if algorithm == "3dpifcm":
+    others = [algorithm for algorithm in cfg.algorithms if algorithm != "3dpifcm"]
+    for algorithm, kind, percent in product(others, cfg.noise_kinds, cfg.noise_percents):
+        ours = mean_incs("3dpifcm", kind, percent)
+        other = mean_incs(algorithm, kind, percent)
+        if ours is None or other is None:
             continue
-        for kind in cfg.noise_kinds:
-            for percent in cfg.noise_percents:
-                ours = mean_incs("3dpifcm", kind, percent)
-                other = mean_incs(algorithm, kind, percent)
-                if ours is None or other is None:
-                    continue
-                try:
-                    gain = _fmt(relative_improvement(other, ours))
-                except UndefinedMetricError:
-                    gain = ""
-                out.append({"algorithm_a": algorithm, "noise_kind": kind,
-                            "noise_percent": _fmt(float(percent)),
-                            "mean_incs_a": _fmt(other), "mean_incs_3dpifcm": _fmt(ours),
-                            "relative_improvement_pct": gain})
+        try:
+            gain = _fmt(relative_improvement(other, ours))
+        except UndefinedMetricError:
+            gain = ""
+        out.append({"algorithm_a": algorithm, "noise_kind": kind,
+                    "noise_percent": _fmt(float(percent)),
+                    "mean_incs_a": _fmt(other), "mean_incs_3dpifcm": _fmt(ours),
+                    "relative_improvement_pct": gain})
     return out
 
 

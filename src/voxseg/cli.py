@@ -6,6 +6,9 @@ subcommand.  A flag that fills a BenchConfig field has its name and default;
 --config file lines (key=value, keys named after the long flags or those
 fields) fill in anything not given explicitly on the command line.
 
+--slice is "mid" (the middle z plane) or axis:index on every subcommand; a
+slice outside the volume, or one the truth does not cover, fails up front.
+
 Exit codes: 0 on success, 1 for validation problems (bad flags, bad or
 unreadable inputs), 2 for runtime failures.  Output files are written
 only after the whole computation succeeds, so a failed run leaves no
@@ -22,15 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from voxseg.bench import (ALGORITHMS, COMPARISON_COLUMNS, REPORT_COLUMNS,
-                          SCORE_COLUMNS, SWEEP_COLUMNS, BenchConfig, run_benchmark,
-                          run_sweep, score_rows, write_csv)
+                          SCORE_COLUMNS, SWEEP_COLUMNS, BenchConfig, cut_to_plane,
+                          resolve_slice, run_benchmark, run_sweep, score_rows,
+                          write_csv)
 from voxseg.errors import ValidationError
 from voxseg.metrics import evaluate_labels
 from voxseg.noise import KINDS, NoiseSpec, add_noise
 from voxseg.phantom import PhantomSpec, generate_phantom
 from voxseg.pipelines import segment
-from voxseg.volume import (AXES, SliceRef, Volume, extract_slice, load_labels,
-                           load_volume, save_volume, write_pgm)
+from voxseg.volume import AXES, Volume, load_labels, load_volume, save_volume, write_pgm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,12 +81,13 @@ def _globals(parser, suppress: bool):
                         help="suppress progress output")
 
 
-def _method_flags(parser, *unset):
+def _method_flags(parser, *unset, clusters=BenchConfig().cluster_count):
     """The method flags; then every flag added so far that fills a BenchConfig
     field takes that field's default, but for --lam/--xi and ``unset``, whose
-    None ("search", or segment's own slice) ``_settings`` leaves out."""
+    None ("search", or segment's own slice) ``_settings`` leaves out;
+    ``clusters`` is the count --help names for an unset --c."""
     parser.add_argument("--c", "--clusters", dest="clusters", type=int,
-                        help=f"number of clusters (default {BenchConfig().cluster_count})")
+                        help=f"number of clusters (default {clusters})")
     parser.add_argument("--m", "--fuzziness", dest="fuzziness", type=float,
                         help="fuzziness exponent (default %(default)s)")
     parser.add_argument("--eps", "--tolerance", dest="tolerance", type=float,
@@ -133,7 +137,7 @@ def _matrix_flags(parser):
     parser.add_argument("--shells", type=int)
     parser.add_argument("--slice", dest="slice_spec",
                         help='plane to segment: "mid" or e.g. z:48 (default %(default)s)')
-    _method_flags(parser)
+    _method_flags(parser, clusters="one per --shells")
 
 
 def build_parser() -> _Parser:
@@ -143,18 +147,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     parser.commands = sub.choices
 
-    p = sub.add_parser("phantom", help="generate a nested-cuboid test volume",
-                       parents=[], add_help=True)
+    p = sub.add_parser("phantom", help="generate a nested-cuboid test volume")
     _globals(p, suppress=True)
     p.add_argument("--out", required=True, help="output intensity volume (.vxf)")
     p.add_argument("--labels", "--truth", dest="truth", default=None,
                    help="optional output label volume")
-    p.add_argument("--dims", type=_triple, default=(181, 217, 181),
-                   help="grid extents nx,ny,nz")
-    p.add_argument("--shells", type=int, default=4)
-    p.add_argument("--imax", type=float, default=255.0,
-                   help="brightest-tissue intensity level")
-    p.add_argument("--margin", type=int, default=None,
+    p.add_argument("--dims", type=_triple, default=PhantomSpec.dims,
+                   help="grid extents nx,ny,nz (default %(default)s)")
+    p.add_argument("--shells", type=int, default=PhantomSpec.num_shells,
+                   help="number of nested shells (default %(default)s)")
+    p.add_argument("--imax", type=float, default=PhantomSpec.intensity_max,
+                   help="brightest-tissue intensity level (default %(default)s)")
+    p.add_argument("--margin", type=int, default=PhantomSpec.margin,
                    help="inset between consecutive cuboids")
     p.set_defaults(func=cmd_phantom)
 
@@ -173,8 +177,8 @@ def build_parser() -> _Parser:
     p.add_argument("--algo", "--algorithm", dest="algorithm",
                    choices=ALGORITHMS, required=True)
     p.add_argument("--slice", dest="slice_spec",
-                   help="plane to segment, e.g. z:60 (default: z:60 when "
-                        "the volume is deep enough, else the middle z plane)")
+                   help='plane to segment: "mid" or e.g. z:60 (default: z:60 when '
+                        'the volume is deeper than 60 planes, else mid)')
     _method_flags(p, "slice_spec")
     p.add_argument("--out", required=True, help="output label slice (.vxf)")
     p.add_argument("--pgm", default=None,
@@ -192,7 +196,8 @@ def build_parser() -> _Parser:
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--slice", dest="slice_spec", default=None,
-                   help="plane to compare; applied to any full-depth input")
+                   help='plane to compare: "mid" or e.g. z:60; applied to any '
+                        'full-depth input')
     p.add_argument("--c", "--clusters", dest="clusters", type=int, default=None,
                    help="cluster count (default: largest label + 1)")
     p.add_argument("--literal-incs", dest="literal_incs", action="store_true",
@@ -257,13 +262,8 @@ def _apply_config(parser, args, argv: list[str]) -> argparse.Namespace:
         if key.replace("-", "_") not in table:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         owner, action = table[key.replace("-", "_")]
-        try:
-            if action.nargs == 0:  # a store_true/store_false switch
-                parsed = _parse_bool(value)
-            elif action.type is not None:
-                parsed = action.type(value)
-            else:
-                parsed = value
+        try:  # nargs 0 is a store_true/store_false switch
+            parsed = _parse_bool(value) if action.nargs == 0 else (action.type or str)(value)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
         if action.choices is not None and parsed not in action.choices:
@@ -310,33 +310,15 @@ def cmd_noise(args) -> None:
     _say(args, f"wrote {args.out} ({args.kind} {args.percent}%, seed {args.seed})")
 
 
-def _default_slice(dims: tuple[int, int, int]) -> SliceRef:
-    return SliceRef("z", 60 if dims[2] > 60 else dims[2] // 2)
-
-
-def _matching_slice(vol, ref: SliceRef, want_dims):
-    if vol.dims == want_dims:
-        return vol
-    return extract_slice(vol, ref)
-
-
 def cmd_segment(args) -> None:
     vol = _load_input(load_volume, args.input)
-    ref = (SliceRef.parse(args.slice_spec) if args.slice_spec
-           else _default_slice(vol.dims))
-    truth_slice = None
-    if args.truth:
-        # keep only the scored slice, not the whole label volume, and check
-        # it before segmenting
-        truth = _load_input(load_labels, args.truth)
-        slice_dims = ref.plane_dims(vol.dims)
-        truth_slice = _matching_slice(truth, ref, slice_dims)
-        if truth_slice.dims != slice_dims:
-            raise ValidationError(f"truth dims {truth.dims} do not cover "
-                                  f"slice dims {slice_dims}")
-        del truth
+    ref = resolve_slice(args.slice_spec or ("z:60" if vol.dims[2] > 60 else "mid"),
+                        vol.dims)
+    # keep only the scored plane of the truth, checked before segmenting
+    truth_slice = (cut_to_plane(_load_input(load_labels, args.truth), ref, vol.dims)
+                   if args.truth else None)
 
-    settings = _settings(args)
+    settings = _settings(args, "slice_spec")
     fixed = (None if args.feature_weight is None
              else (args.feature_weight, args.spatial_weight))
     result = segment(args.algorithm, vol, ref, settings.cluster_count, settings.fcm_config(),
@@ -367,11 +349,12 @@ def cmd_eval(args) -> None:
     pred = _load_input(load_labels, args.pred)
     truth = _load_input(load_labels, args.truth)
     if args.slice_spec:
-        ref = SliceRef.parse(args.slice_spec)
-        want = list(truth.dims)
-        want[AXES[ref.axis]] = 1
-        pred = _matching_slice(pred, ref, tuple(want))
-        truth = _matching_slice(truth, ref, tuple(want))
+        # a plane of the larger input; inputs one plane deep on the axis stay as they are
+        dims = tuple(map(max, pred.dims, truth.dims))
+        ref = resolve_slice(args.slice_spec, dims)
+        if dims[AXES[ref.axis]] > 1:
+            pred = cut_to_plane(pred, ref, dims, "prediction")
+            truth = cut_to_plane(truth, ref, dims)
     if pred.dims != truth.dims:
         raise ValidationError(f"prediction dims {pred.dims} do not match "
                               f"truth dims {truth.dims}")
@@ -382,14 +365,14 @@ def cmd_eval(args) -> None:
     write_csv(score_rows(scores), SCORE_COLUMNS, args.out if args.out else sys.stdout)
 
 
-def _settings(args) -> BenchConfig:
-    """BenchConfig from the flags named after its fields; --opt-iters also
-    sets the GA's generations, and without --lam/--xi ifcm runs at
-    BenchConfig's default weights."""
+def _settings(args, *own) -> BenchConfig:
+    """BenchConfig from the flags named after its fields, but for the
+    command's ``own``; --opt-iters also sets the GA's generations, and
+    without --lam/--xi ifcm runs at BenchConfig's default weights."""
     if (args.feature_weight is None) != (args.spatial_weight is None):
         raise ValidationError("--lam and --xi must be given together")
     given = {f.name: getattr(args, f.name) for f in fields(BenchConfig)
-             if getattr(args, f.name, None) is not None}
+             if f.name not in own and getattr(args, f.name, None) is not None}
     return BenchConfig(generations=args.pso_max_iter, **given)
 
 

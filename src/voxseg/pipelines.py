@@ -186,7 +186,7 @@ def ga_ifcm(img, clusters: int, cfg: FcmConfig | None = None,
 
 
 def pso_ifcm_3d(vol: Volume, ref: SliceRef, clusters: int,
-                depth: int = 3, decay: float = 1.1,
+                depth: int = AttractionParams.depth, decay: float = AttractionParams.decay,
                 cfg: FcmConfig | None = None, pso: PsoConfig | None = None,
                 fixed: tuple[float, float] | None = None,
                 probe_steps: int = 1) -> SegmentationResult:

@@ -18,7 +18,7 @@ from voxseg.metrics import defuzzify, evaluate_labels, relative_improvement
 from voxseg.noise import NoiseSpec, add_noise
 from voxseg.optimize import GaConfig, PsoConfig
 from voxseg.phantom import PhantomSpec, generate_phantom
-from voxseg.volume import SliceRef, extract_slice, save_volume
+from voxseg.volume import SliceRef, extract_slice, load_labels, save_volume
 
 
 def small_config(**overrides) -> BenchConfig:
@@ -83,12 +83,26 @@ class TestConfigValidation:
         {"swarm_size": 1}, {"pso_max_iter": 0}, {"omega": -1.0},
         {"population": 1}, {"generations": 0}, {"crossover_rate": 2.0},
         {"noise_kinds": ("gaussian", "speckle")}, {"noise_percents": (5.0, 150.0)},
-        {"seeds": (0, -1)}, {"clusters": 0}, {"clusters": -2},
+        {"seeds": (0, -1)}, {"clusters": 0}, {"clusters": -2}, {"slice_spec": "q:1"},
     ], ids=lambda bad: next(iter(bad)))
     def test_bad_setting_fails_when_built(self, bad):
         # refused once, not in an error row for every cell
         with pytest.raises(ValidationError):
             small_config(**bad)
+
+    @pytest.mark.parametrize("spec", ["z:24", "x:30"])
+    def test_slice_off_the_phantom_fails_when_built(self, monkeypatch, spec):
+        # checked against dims alone: no phantom is built for it
+        monkeypatch.setattr(bench, "generate_phantom",
+                            lambda *args: pytest.fail("a phantom was built"))
+        with pytest.raises(IndexError, match="out of range for dims"):
+            small_config(slice_spec=spec)
+        small_config(slice_spec="z:23")
+
+    def test_phantom_dims_keep_the_phantom_check(self):
+        # the slice check leaves malformed dims to generate_phantom's typed error
+        with pytest.raises(ValidationError, match="three positive integers"):
+            run_benchmark(small_config(dims=(24, 24)))
 
     def test_method_defaults_are_their_owners(self):
         # BenchConfig takes each method default from the class that checks
@@ -167,16 +181,28 @@ class TestRunCell:
 
     def test_external_volume_source(self, tmp_path):
         cfg = small_config()
-        vol, truth = generate_phantom(PhantomSpec(dims=cfg.dims,
-                                                  num_shells=cfg.shells))
-        vol_path = tmp_path / "vol.vxf"
-        truth_path = tmp_path / "truth.vxf"
-        save_volume(vol, vol_path)
-        save_volume(truth, truth_path)
-        external = replace(cfg, volume_path=str(vol_path),
-                           truth_path=str(truth_path))
+        external = external_config(tmp_path, cfg)
         assert strip_times(run_cell(external, "fcm", "gaussian", 5.0, 0)) == \
             strip_times(run_cell(cfg, "fcm", "gaussian", 5.0, 0))
+
+    def test_single_slice_truth_scores_like_the_full_truth(self, tmp_path):
+        cfg = small_config(slice_spec="y:5")
+        external = external_config(tmp_path, cfg)
+        truth = extract_slice(load_labels(external.truth_path), SliceRef("y", 5))
+        save_volume(truth, external.truth_path)
+        assert strip_times(run_cell(external, "fcm", "gaussian", 5.0, 0)) == \
+            strip_times(run_cell(cfg, "fcm", "gaussian", 5.0, 0))
+
+
+def external_config(tmp_path, cfg, truth_dims=None):
+    """``cfg`` on its phantom saved to disk, the truth built at ``truth_dims``."""
+    vol, _ = generate_phantom(PhantomSpec(dims=cfg.dims, num_shells=cfg.shells))
+    _, truth = generate_phantom(PhantomSpec(dims=truth_dims or cfg.dims,
+                                            num_shells=cfg.shells))
+    save_volume(vol, tmp_path / "vol.vxf")
+    save_volume(truth, tmp_path / "truth.vxf")
+    return replace(cfg, volume_path=str(tmp_path / "vol.vxf"),
+                   truth_path=str(tmp_path / "truth.vxf"))
 
 
 def strip_times(rows):
@@ -206,6 +232,20 @@ class TestRunBenchmark:
     def test_thread_count_validated(self):
         with pytest.raises(ValidationError):
             run_benchmark(small_config(), threads=0)
+
+    @pytest.mark.parametrize("spec, truth_dims, error", [
+        ("mid", (16, 16, 16), ValidationError), ("z:30", None, IndexError),
+        ("x:20", (16, 24, 24), IndexError),
+    ])
+    def test_loaded_slice_checked_before_any_cell(self, tmp_path, monkeypatch, spec,
+                                                  truth_dims, error):
+        # the slice must lie inside the loaded volume, and the truth cover it
+        cfg = replace(external_config(tmp_path, small_config(), truth_dims), slice_spec=spec)
+        monkeypatch.setattr(bench, "segment", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        with pytest.raises(error):
+            run_benchmark(cfg)
+        with pytest.raises(error):
+            run_sweep(cfg, "percent", (5.0, 9.0), "fcm")
 
     def test_log_line_per_cell(self):
         cfg = small_config(seeds=(0, 1))

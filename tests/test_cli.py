@@ -67,6 +67,18 @@ def test_phantom_rejects_bad_dims(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_phantom_defaults_are_phantom_spec_defaults(monkeypatch):
+    specs = []
+
+    def spy(spec):
+        specs.append(spec)
+        raise RuntimeError("stopped by the spy")
+
+    monkeypatch.setattr(cli, "generate_phantom", spy)
+    assert main(["phantom", "--out", "unused.vxf", "--quiet"]) == 2
+    assert specs == [PhantomSpec()]
+
+
 def test_noise_matches_library(assets, tmp_path):
     out = tmp_path / "n.vxf"
     code = main(["noise", "--in", str(assets["vol"]), "--out", str(out),
@@ -217,6 +229,39 @@ def test_segment_rejects_truth_that_does_not_cover_the_slice(assets, tmp_path,
     assert calls == [] and not out.exists()
 
 
+def segment_fcm(volume, out, *flags):
+    return main(["segment", "--in", str(volume), "--algo", "fcm", "--c", "2",
+                 "--out", str(out), "--quiet", *flags])
+
+
+def test_segment_mid_is_the_middle_z_plane(assets, tmp_path):
+    mid, z12 = tmp_path / "mid.vxf", tmp_path / "z12.vxf"
+    assert segment_fcm(assets["noisy"], mid, "--slice", "mid") == 0
+    assert segment_fcm(assets["noisy"], z12, "--slice", f"z:{DIMS[2] // 2}") == 0
+    assert mid.read_bytes() == z12.read_bytes()
+
+
+@pytest.mark.parametrize("depth, plane", [(24, "z:12"), (60, "z:30"), (61, "z:60")])
+def test_segment_default_plane(tmp_path, capsys, depth, plane):
+    # z:60 once the volume is deeper than 60 planes, else the middle one
+    vol, _ = generate_phantom(PhantomSpec(dims=(8, 8, depth), num_shells=2))
+    save_volume(add_noise(vol, NoiseSpec("gaussian", 5.0, 0)), tmp_path / "vol.vxf")
+    assert main(["segment", "--in", str(tmp_path / "vol.vxf"), "--algo", "fcm",
+                 "--c", "2", "--out", str(tmp_path / "seg.vxf")]) == 0
+    assert f"fcm on {plane}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["z:12", "mid", "x:5"])
+def test_segment_scores_a_full_and_a_single_slice_truth_alike(assets, tmp_path, spec):
+    plane = tmp_path / "plane.vxf"
+    save_volume(extract_slice(load_labels(assets["truth"]), bench.resolve_slice(spec, DIMS)),
+                plane)
+    for name, truth in (("full", assets["truth"]), ("plane", plane)):
+        assert segment_fcm(assets["noisy"], tmp_path / f"{name}.vxf", "--slice", spec,
+                           "--truth", str(truth), "--metrics", str(tmp_path / f"{name}.csv")) == 0
+    assert (tmp_path / "full.csv").read_text() == (tmp_path / "plane.csv").read_text()
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_segment_agrees_with_one_bench_cell(tmp_path, monkeypatch, algorithm):
     # both front ends dispatch through pipelines.segment; the same volume,
@@ -278,6 +323,28 @@ def test_eval_dimension_mismatch(assets, tmp_path, capsys):
     assert "do not match" in capsys.readouterr().err
 
 
+def test_eval_mid_scores_the_middle_z_plane(assets, tmp_path):
+    seg = tmp_path / "seg.vxf"
+    assert segment_fcm(assets["noisy"], seg, "--slice", "mid") == 0
+    for spec in ("mid", "z:12"):
+        assert main(["eval", "--pred", str(seg), "--truth", str(assets["truth"]),
+                     "--slice", spec, "--out", str(tmp_path / f"{spec}.csv")]) == 0
+    assert (tmp_path / "mid.csv").read_text() == (tmp_path / "z:12.csv").read_text()
+
+
+@pytest.mark.parametrize("spec", ["z:0", "z:12", "z:20", "mid"])
+def test_eval_two_single_planes_at_any_index(assets, tmp_path, spec):
+    # --slice cuts only a full-depth input; two single z planes are compared as
+    # they are, whatever the index
+    seg, plane = tmp_path / "seg.vxf", tmp_path / "plane.vxf"
+    assert segment_fcm(assets["noisy"], seg, "--slice", "z:12") == 0
+    save_volume(extract_slice(load_labels(assets["truth"]), SliceRef("z", 12)), plane)
+    for name, flags in (("plain", []), ("sliced", ["--slice", spec])):
+        assert main(["eval", "--pred", str(seg), "--truth", str(plane),
+                     "--out", str(tmp_path / f"{name}.csv"), *flags]) == 0
+    assert (tmp_path / "plain.csv").read_text() == (tmp_path / "sliced.csv").read_text()
+
+
 def test_eval_undefined_metric_is_runtime_failure(tmp_path, capsys):
     flat = tmp_path / "flat.vxf"
     save_volume(LabelVolume((4, 4, 1), np.zeros((4, 4, 1), dtype=np.uint8)),
@@ -316,6 +383,32 @@ def test_bench_logs_progress(capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "fcm gaussian 5.0% seed=0" in err
+
+
+@pytest.mark.parametrize("argv", [["bench", "--algorithms", "fcm", "--report"],
+                                  ["sweep", "--param", "h", "--grid", "1", "--out"]],
+                         ids=lambda argv: argv[0])
+def test_slice_off_the_phantom_fails_before_any_cell(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr(bench, "segment", lambda *args, **kwargs: pytest.fail("a cell ran"))
+    out = tmp_path / "out.csv"
+    assert main([*argv, str(out), "--dims", "8,8,8", "--shells", "2", "--percents", "5",
+                 "--seeds", "0", "--slice", "z:20", "--quiet"]) == 1
+    assert "slice z:20 out of range for dims (8, 8, 8)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_truth_of_other_dims_fails_before_any_cell(assets, tmp_path, monkeypatch,
+                                                          capsys):
+    small = tmp_path / "small.vxf"
+    save_volume(generate_phantom(PhantomSpec(dims=(16, 16, 16), num_shells=2))[1], small)
+    monkeypatch.setattr(bench, "segment", lambda *args, **kwargs: pytest.fail("a cell ran"))
+    report = tmp_path / "report.csv"
+    assert main(["bench", "--algorithms", "fcm", "--percents", "5", "--seeds", "0",
+                 "--volume", str(assets["noisy"]), "--truth", str(small),
+                 "--report", str(report), "--quiet"]) == 1
+    assert ("truth dims (16, 16, 16) do not cover slice dims (24, 24, 1)"
+            in capsys.readouterr().err)
+    assert not report.exists()
 
 
 def test_sweep_csv(tmp_path):
@@ -437,6 +530,14 @@ def test_flag_defaults_are_bench_config_defaults(argv):
     # the parser takes every default from BenchConfig, so a run without
     # flags runs the protocol run_benchmark(BenchConfig()) runs
     assert cli._settings(cli.build_parser().parse_args(argv)) == BenchConfig()
+
+
+@pytest.mark.parametrize("command, default", [
+    ("segment", "4"), ("bench", "one per --shells"), ("sweep", "one per --shells")])
+def test_cluster_count_help_names_its_default(command, default):
+    # bench and sweep run one cluster per phantom shell unless --c says otherwise
+    text = " ".join(cli.build_parser().commands[command].format_help().split())
+    assert f"number of clusters (default {default})" in text
 
 
 def bench_settings_from_config(monkeypatch, tmp_path, lines):

@@ -1,11 +1,12 @@
 """End-to-end segmentation pipelines on generated volumes."""
 
+import inspect
 import time
 
 import numpy as np
 import pytest
 
-from voxseg import pipelines
+from voxseg import attraction, pipelines
 from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, ifcm_step,
                                plane_context, slice_context)
 from voxseg.errors import ValidationError
@@ -345,3 +346,20 @@ def test_probe_runs_ifcm_step_from_the_start(three_d):
         assert np.array_equal(probed[0], stepped[0])
         assert np.array_equal(probed[1], stepped[1])
         assert probed[2] == stepped[2]
+
+
+def test_geometry_defaults_are_attraction_params():
+    # the contexts and the 3-D entry default their level, depth and decay to
+    # AttractionParams'; this guards that the two stay in step
+    owner = AttractionParams()
+    checked = [(entry.__name__, name)
+               for entry in (attraction.PlaneContext, attraction.SliceContext,
+                             attraction.plane_context, attraction.slice_context,
+                             pipelines.pso_ifcm_3d)
+               for name, param in inspect.signature(entry).parameters.items()
+               if name in ("level", "depth", "decay")
+               and param.default == getattr(owner, name)]
+    assert checked == [("PlaneContext", "level"), ("SliceContext", "depth"),
+                       ("SliceContext", "decay"), ("plane_context", "level"),
+                       ("slice_context", "depth"), ("slice_context", "decay"),
+                       ("pso_ifcm_3d", "depth"), ("pso_ifcm_3d", "decay")]
