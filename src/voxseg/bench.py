@@ -1,12 +1,13 @@
 """Benchmark harness: algorithm x noise matrix with CSV reporting.
 
-Each cell of the matrix builds (or loads) the ground-truth volume,
-corrupts it at the cell's noise level and seed, segments the configured
-slice, and scores the labels against the truth slice.  Rows come out in
-config order and all randomness is seeded per cell, so two runs of the
-same config produce identical reports except for wall-clock columns.
-The slice rule of every front end is :func:`resolve_slice` and
-:func:`cut_to_plane`; a bad slice fails before any cell runs.
+A run builds (or loads) the ground-truth volume once and cuts the truth
+to the scored slice, which checks the slice before any cell runs; a sweep
+is one run over every grid point.  Each cell corrupts that volume at its
+noise level and seed, segments the slice, and scores the labels against
+the truth slice.  Rows come out in config order and all randomness is
+seeded per cell, so two runs of the same config, in one process or over a
+worker pool, produce identical reports except for wall-clock columns.
+The slice rule of every front end is :func:`resolve_slice` and :func:`cut_to_plane`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
-from itertools import product
+from itertools import product, starmap
 
 import numpy as np
 
@@ -89,7 +91,8 @@ class BenchConfig:
         self.fcm_config(), self.attraction_params(), self.pso_config(0), self.ga_config(0)
         for kind, percent, seed in product(self.noise_kinds, self.noise_percents, self.seeds):
             NoiseSpec(kind, percent, seed)
-        if self.volume_path is None and len(self.dims) == 3:  # generate_phantom checks dims
+        if self.volume_path is None:
+            PhantomSpec(self.dims, self.shells)  # the phantom's own shape checks
             resolve_slice(self.slice_spec, self.dims).plane_dims(self.dims)
 
     @property
@@ -112,6 +115,13 @@ class BenchConfig:
 
     def ga_config(self, seed: int) -> GaConfig:
         return self._build(GaConfig, seed=seed)
+
+    def segment(self, algorithm: str, vol, ref: SliceRef, seed: int, fixed=None):
+        """:func:`voxseg.pipelines.segment` of plane ``ref`` of ``vol`` at these settings,
+        both optimisers seeded with ``seed``; ``fixed`` weights skip the search."""
+        return segment(algorithm, vol, ref, self.cluster_count, self.fcm_config(),
+                       self.attraction_params(), self.pso_config(seed),
+                       self.ga_config(seed), fixed, self.probe_steps)
 
 
 def resolve_slice(spec: str, dims: tuple[int, int, int]) -> SliceRef:
@@ -157,19 +167,18 @@ def score_rows(scores: dict, per_cluster: bool = True) -> list[dict]:
             for cluster, uns, os, incs in lines]
 
 
-def run_cell(cfg: BenchConfig, algorithm: str, kind: str, percent: float,
+def run_cell(cfg: BenchConfig, source, algorithm: str, kind: str, percent: float,
              seed: int) -> list[dict]:
-    """One matrix cell; failures land in the status column, not the caller."""
-    vol, ref, truth = _source(cfg)
+    """One matrix cell on ``source``, the run's (volume, slice, truth slice);
+    failures land in the status column, not the caller."""
+    vol, ref, truth = source
     started = time.perf_counter()
     base = {"algorithm": algorithm, "noise_kind": kind, "noise_percent": _fmt(float(percent)),
             "seed": seed, "lambda": "", "xi": "", "h": "", "v": "", "iterations": ""}
     try:
         noisy = add_noise(vol, NoiseSpec(kind, percent, seed))
         # the fixed weights reach ifcm only: the tuned algorithms search
-        result = segment(algorithm, noisy, ref, cfg.cluster_count, cfg.fcm_config(),
-                         cfg.attraction_params(), cfg.pso_config(seed),
-                         cfg.ga_config(seed), probe_steps=cfg.probe_steps)
+        result = cfg.segment(algorithm, noisy, ref, seed)
         scores = evaluate_labels(result.labels, truth, cfg.cluster_count, cfg.literal_incs)
     except Exception as exc:  # keep the sweep alive; the row records why
         status, rows = f"error: {exc}", [dict.fromkeys(SCORE_COLUMNS, "")]
@@ -185,29 +194,37 @@ def run_cell(cfg: BenchConfig, algorithm: str, kind: str, percent: float,
     return [dict(base, **row, wall_time_ms=wall_time_ms, status=status) for row in rows]
 
 
+def _run(cfg: BenchConfig, points: list[BenchConfig], threads: int, log) -> list[list[dict]]:
+    """Report rows of each config in ``points``, all on the one source ``cfg`` builds: every
+    cell in config order, in this process or over one pool, logged as its rows arrive."""
+    if int(threads) < 1:
+        raise ValidationError("threads must be at least 1")
+    source = _source(cfg)
+    jobs = [(point, source, *cell) for point in points for cell in product(
+        point.algorithms, point.noise_kinds, point.noise_percents, point.seeds)]
+    rows = {id(point): [] for point in points}
+    with ProcessPoolExecutor(int(threads)) if threads > 1 else nullcontext() as pool:
+        groups = pool.map(run_cell, *zip(*jobs)) if pool else starmap(run_cell, jobs)
+        for (point, _, algorithm, kind, percent, seed), group in zip(jobs, groups):
+            if log is not None:
+                mean = next((r["IncS"] for r in group if r["cluster"] == "mean"), "")
+                log(f"{algorithm} {kind} {percent}% seed={seed} "
+                    f"IncS={mean or 'n/a'} [{group[-1]['status']}]")
+            rows[id(point)].extend(group)
+    return [rows[id(point)] for point in points]
+
+
 def run_benchmark(cfg: BenchConfig, threads: int = 1,
                   log=None) -> tuple[list[dict], list[dict]]:
     """Run the whole matrix; returns (report rows, comparison rows)."""
-    if int(threads) < 1:
-        raise ValidationError("threads must be at least 1")
-    if cfg.volume_path is not None:
-        _source(cfg)  # the loaded pair's slice checks, once, before any cell runs
-    cells = list(product(cfg.algorithms, cfg.noise_kinds, cfg.noise_percents, cfg.seeds))
-    if threads == 1:
-        groups = [run_cell(cfg, *cell) for cell in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=int(threads)) as pool:
-            futures = [pool.submit(run_cell, cfg, *cell) for cell in cells]
-            groups = [f.result() for f in futures]
-    rows = []
-    for cell, group in zip(cells, groups):
-        if log is not None:
-            mean = next((r["IncS"] for r in group if r["cluster"] == "mean"), "")
-            status = group[-1]["status"]
-            log(f"{cell[0]} {cell[1]} {cell[2]}% seed={cell[3]} "
-                f"IncS={mean or 'n/a'} [{status}]")
-        rows.extend(group)
+    rows, = _run(cfg, [cfg], threads, log)
     return rows, comparison_rows(cfg, rows)
+
+
+def _mean_incs(rows: list[dict]) -> float | None:
+    """Mean IncS of the ok mean rows in ``rows``; None when there are none."""
+    vals = [float(r["IncS"]) for r in rows if r["cluster"] == "mean" and r["status"] == "ok"]
+    return float(np.mean(vals)) if vals else None
 
 
 def comparison_rows(cfg: BenchConfig, rows: list[dict]) -> list[dict]:
@@ -216,11 +233,8 @@ def comparison_rows(cfg: BenchConfig, rows: list[dict]) -> list[dict]:
         return []
 
     def mean_incs(algorithm, kind, percent):
-        vals = [float(r["IncS"]) for r in rows
-                if r["algorithm"] == algorithm and r["noise_kind"] == kind
-                and r["noise_percent"] == _fmt(float(percent))
-                and r["cluster"] == "mean" and r["status"] == "ok"]
-        return float(np.mean(vals)) if vals else None
+        return _mean_incs([r for r in rows if (r["algorithm"], r["noise_kind"], r["noise_percent"])
+                           == (algorithm, kind, _fmt(float(percent)))])
 
     out = []
     others = [algorithm for algorithm in cfg.algorithms if algorithm != "3dpifcm"]
@@ -253,10 +267,8 @@ def run_sweep(cfg: BenchConfig, param: str, grid, algorithm: str,
         {"depth": int(value)} if param == "v" else
         {"noise_percents": (float(value),)})) for value in grid]
     out = []
-    for value, point in zip(grid, points):
-        rows, _ = run_benchmark(point, threads=threads, log=log)
-        good = [float(r["IncS"]) for r in rows
-                if r["cluster"] == "mean" and r["status"] == "ok"]
+    for value, point, rows in zip(grid, points, _run(cfg, points, threads, log)):
+        mean = _mean_incs(rows)
         out.append({
             "param": param,
             "value": _fmt(float(value)),
@@ -264,7 +276,7 @@ def run_sweep(cfg: BenchConfig, param: str, grid, algorithm: str,
             "noise_kind": ",".join(point.noise_kinds),
             "noise_percent": ",".join(_fmt(float(p)) for p in point.noise_percents),
             "seeds": ",".join(str(s) for s in point.seeds),
-            "mean_incs": _fmt(float(np.mean(good))) if good else "",
+            "mean_incs": "" if mean is None else _fmt(mean),
         })
     return out
 
@@ -274,10 +286,8 @@ SWEEP_COLUMNS = ("param", "value", "algorithm", "noise_kind", "noise_percent",
 
 
 def write_csv(rows: list[dict], columns, path_or_handle) -> None:
-    if hasattr(path_or_handle, "write"):
-        writer = csv.DictWriter(path_or_handle, fieldnames=list(columns), lineterminator="\n")
+    with (nullcontext(path_or_handle) if hasattr(path_or_handle, "write")
+          else open(path_or_handle, "w", newline="")) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-        return
-    with open(path_or_handle, "w", newline="") as fh:
-        write_csv(rows, columns, fh)

@@ -32,7 +32,6 @@ from voxseg.errors import ValidationError
 from voxseg.metrics import evaluate_labels
 from voxseg.noise import KINDS, NoiseSpec, add_noise
 from voxseg.phantom import PhantomSpec, generate_phantom
-from voxseg.pipelines import segment
 from voxseg.volume import AXES, Volume, load_labels, load_volume, save_volume, write_pgm
 
 
@@ -40,13 +39,6 @@ class _Parser(argparse.ArgumentParser):
     # usage problems must map to exit code 1, not argparse's SystemExit(2)
     def error(self, message):
         raise ValidationError(message)
-
-
-def _triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated integers, got {text!r}")
-    return tuple(int(p) for p in parts)
 
 
 def _list_of(kind):
@@ -133,7 +125,7 @@ def _matrix_flags(parser):
     parser.add_argument("--kinds", dest="noise_kinds", type=_list_of(str))
     parser.add_argument("--percents", dest="noise_percents", type=_list_of(float))
     parser.add_argument("--seeds", type=_list_of(int))
-    parser.add_argument("--dims", type=_triple)
+    parser.add_argument("--dims", type=_list_of(int))
     parser.add_argument("--shells", type=int)
     parser.add_argument("--slice", dest="slice_spec",
                         help='plane to segment: "mid" or e.g. z:48 (default %(default)s)')
@@ -147,12 +139,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     parser.commands = sub.choices
 
-    p = sub.add_parser("phantom", help="generate a nested-cuboid test volume")
-    _globals(p, suppress=True)
+    def command(name, func, help):
+        """Subcommand ``name``, which runs ``func``, with the global flags."""
+        p = sub.add_parser(name, help=help)
+        _globals(p, suppress=True)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("phantom", cmd_phantom, "generate a nested-cuboid test volume")
     p.add_argument("--out", required=True, help="output intensity volume (.vxf)")
     p.add_argument("--labels", "--truth", dest="truth", default=None,
                    help="optional output label volume")
-    p.add_argument("--dims", type=_triple, default=PhantomSpec.dims,
+    p.add_argument("--dims", type=_list_of(int), default=PhantomSpec.dims,
                    help="grid extents nx,ny,nz (default %(default)s)")
     p.add_argument("--shells", type=int, default=PhantomSpec.num_shells,
                    help="number of nested shells (default %(default)s)")
@@ -160,19 +158,15 @@ def build_parser() -> _Parser:
                    help="brightest-tissue intensity level (default %(default)s)")
     p.add_argument("--margin", type=int, default=PhantomSpec.margin,
                    help="inset between consecutive cuboids")
-    p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("noise", help="corrupt a volume with gaussian or poisson noise")
-    _globals(p, suppress=True)
+    p = command("noise", cmd_noise, "corrupt a volume with gaussian or poisson noise")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--percent", type=float, required=True,
                    help="noise level as percent of intensity_max, in (0, 100]")
-    p.set_defaults(func=cmd_noise)
 
-    p = sub.add_parser("segment", help="segment one slice of a volume")
-    _globals(p, suppress=True)
+    p = command("segment", cmd_segment, "segment one slice of a volume")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--algo", "--algorithm", dest="algorithm",
                    choices=ALGORITHMS, required=True)
@@ -189,10 +183,8 @@ def build_parser() -> _Parser:
                    help="label volume to score the result against")
     p.add_argument("--metrics", default=None,
                    help="CSV path for the scores (stdout when omitted)")
-    p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("eval", help="score predicted labels against ground truth")
-    _globals(p, suppress=True)
+    p = command("eval", cmd_eval, "score predicted labels against ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--slice", dest="slice_spec", default=None,
@@ -203,10 +195,8 @@ def build_parser() -> _Parser:
     p.add_argument("--literal-incs", dest="literal_incs", action="store_true",
                    help="report IncS as (UnS + OS) / total instead of error share")
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="run the algorithm x noise benchmark matrix")
-    _globals(p, suppress=True)
+    p = command("bench", cmd_bench, "run the algorithm x noise benchmark matrix")
     p.add_argument("--algorithms", type=_list_of(str))
     _matrix_flags(p)
     p.add_argument("--volume", dest="volume_path", default=None,
@@ -219,17 +209,14 @@ def build_parser() -> _Parser:
     p.add_argument("--report", default=None, help="report CSV (stdout when omitted)")
     p.add_argument("--compare", default=None,
                    help="CSV comparing each algorithm against 3dpifcm")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("sweep", help="vary one hyperparameter and track mean IncS")
-    _globals(p, suppress=True)
+    p = command("sweep", cmd_sweep, "vary one hyperparameter and track mean IncS")
     p.add_argument("--param", choices=("h", "v", "percent"), required=True)
     p.add_argument("--grid", type=_list_of(float), required=True)
     p.add_argument("--algo", "--algorithm", dest="algorithm",
                    choices=ALGORITHMS, default="3dpifcm")
     _matrix_flags(p)
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -288,10 +275,6 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _logger(args):
-    return None if args.quiet else (lambda line: print(line, file=sys.stderr))
-
-
 def cmd_phantom(args) -> None:
     spec = PhantomSpec(dims=args.dims, num_shells=args.shells,
                        margin=args.margin, intensity_max=args.imax)
@@ -321,9 +304,7 @@ def cmd_segment(args) -> None:
     settings = _settings(args, "slice_spec")
     fixed = (None if args.feature_weight is None
              else (args.feature_weight, args.spatial_weight))
-    result = segment(args.algorithm, vol, ref, settings.cluster_count, settings.fcm_config(),
-                     settings.attraction_params(), settings.pso_config(args.seed),
-                     settings.ga_config(args.seed), fixed, settings.probe_steps)
+    result = settings.segment(args.algorithm, vol, ref, args.seed, fixed)
     labels = result.labels
     scores = (None if truth_slice is None
               else evaluate_labels(labels, truth_slice, settings.cluster_count))
@@ -378,7 +359,7 @@ def _settings(args, *own) -> BenchConfig:
 
 def cmd_bench(args) -> None:
     rows, comparison = run_benchmark(_settings(args), threads=args.threads,
-                                     log=_logger(args))
+                                     log=lambda line: _say(args, line))
     write_csv(rows, REPORT_COLUMNS, args.report if args.report else sys.stdout)
     if args.compare:
         write_csv(comparison, COMPARISON_COLUMNS, args.compare)
@@ -386,7 +367,7 @@ def cmd_bench(args) -> None:
 
 def cmd_sweep(args) -> None:
     rows = run_sweep(_settings(args), args.param, args.grid, args.algorithm,
-                     threads=args.threads, log=_logger(args))
+                     threads=args.threads, log=lambda line: _say(args, line))
     write_csv(rows, SWEEP_COLUMNS, args.out if args.out else sys.stdout)
 
 

@@ -130,13 +130,13 @@ def update_membership(d2: np.ndarray, fuzziness: float) -> np.ndarray:
     return u
 
 
-def update_centers(u: np.ndarray, data: np.ndarray,
-                   fuzziness: float) -> tuple[np.ndarray, np.ndarray]:
+def update_centers(u: np.ndarray, data: np.ndarray, fuzziness: float,
+                   *alongside: np.ndarray) -> tuple[np.ndarray, ...]:
     """u^m-weighted means, sorted ascending.
 
-    Returns ``(centers, u)`` with membership columns permuted to match the
-    sorted order, so callers always hold a consistently labelled pair;
-    when the means already ascend, ``u`` comes back as given.
+    Returns ``(centers, u, *alongside)``, the columns of each array permuted
+    to match the sorted order, so callers hold consistently labelled arrays;
+    when the means already ascend, the arrays come back as given.
     """
     u = np.asarray(u, dtype=np.float64)
     data = np.asarray(data, dtype=np.float64).ravel()
@@ -147,9 +147,9 @@ def update_centers(u: np.ndarray, data: np.ndarray,
         raise DegenerateClusterError(f"cluster(s) {empty.tolist()} lost all membership")
     centers = total / mass
     if np.all(centers[:-1] <= centers[1:]):  # a stable sort would move no column
-        return centers, u
+        return centers, u, *alongside
     order = np.argsort(centers, kind="stable")
-    return centers[order], u[:, order]
+    return centers[order], *(a[:, order] for a in (u, *alongside))
 
 
 def gmm_init(data: np.ndarray, c: int, scale: float | None = None) -> np.ndarray:
@@ -265,8 +265,8 @@ def settle(step, u: np.ndarray, centers: np.ndarray, cfg: FcmConfig) -> FcmResul
     memberships settle.
 
     ``step(u, centers)`` returns ``(before, after, centers, cost)``: ``u``
-    with its columns in the order of the new centers, the next memberships,
-    the new centers and the cost.  ``stop_reason`` is "converged" once
+    with its columns permuted as the step sorted the new centers, the next
+    memberships, the new centers and the cost.  ``stop_reason`` is "converged" once
     after and before differ by less than ``cfg.tolerance`` in the max norm;
     at ``cfg.max_iterations`` it is "cycle" when the last iterate is that
     close to the one two steps earlier (the loop alternates between two

@@ -66,7 +66,7 @@ def _converge(ctx, state, params: AttractionParams | None, cfg: FcmConfig,
         weights, fit = (None, None), state
     else:
         weights = (float(params.feature_weight), float(params.spatial_weight))
-        fit = settle(lambda u, centers: (u, *ifcm_step(ctx, u, centers, params, cfg)),
+        fit = settle(lambda u, centers: ifcm_step(ctx, u, centers, params, cfg),
                      state[0], state[1], cfg)
     check_membership(fit.membership)
     return SegmentationResult(
@@ -89,9 +89,9 @@ def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
 
     def propagate(feature_weight: float, spatial_weight: float):
         p = replace(params, feature_weight=feature_weight, spatial_weight=spatial_weight)
-        u, centers, cost = ifcm_step(ctx, u0, centers0, p, cfg, terms)
+        _, u, centers, cost = ifcm_step(ctx, u0, centers0, p, cfg, terms)
         for _ in range(steps - 1):
-            u, centers, cost = ifcm_step(ctx, u, centers, p, cfg)
+            _, u, centers, cost = ifcm_step(ctx, u, centers, p, cfg)
         return u, centers, cost
 
     return propagate

@@ -373,7 +373,7 @@ def test_ifcm_step_zero_weights_is_plain_fcm_step():
     u = update_membership((ctx.data[:, None] - centers) ** 2, 2.0)
     cfg = FcmConfig()
     params = AttractionParams(feature_weight=0.0, spatial_weight=0.0)
-    u2, c2, cost = ifcm_step(ctx, u, centers, params, cfg)
+    _, u2, c2, cost = ifcm_step(ctx, u, centers, params, cfg)
     d2 = (ctx.data[:, None] - centers) ** 2
     u_ref = update_membership(d2, cfg.fuzziness)
     cost_ref = jm_cost(u_ref, d2, cfg.fuzziness)
@@ -390,7 +390,7 @@ def test_ifcm_step_with_attraction():
     centers = np.array([30.0, 70.0])
     u = update_membership((ctx.data[:, None] - centers) ** 2, 2.0)
     params = AttractionParams(feature_weight=0.4, spatial_weight=0.3)
-    u2, c2, cost = ifcm_step(ctx, u, centers, params, FcmConfig())
+    _, u2, c2, cost = ifcm_step(ctx, u, centers, params, FcmConfig())
     assert np.allclose(u2.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(np.diff(c2) >= 0)
     assert cost >= 0.0

@@ -29,6 +29,11 @@ def small_config(**overrides) -> BenchConfig:
     return BenchConfig(**base)
 
 
+def cell(cfg: BenchConfig, *args):
+    """``run_cell`` on the source a run of ``cfg`` builds."""
+    return run_cell(cfg, bench._source(cfg), *args)
+
+
 def reference_scores(cfg: BenchConfig, kind: str, percent: float, seed: int):
     # mirror of the fcm cell: phantom -> noise -> slice -> fcm -> score
     vol, truth = generate_phantom(PhantomSpec(dims=cfg.dims, num_shells=cfg.shells))
@@ -84,6 +89,7 @@ class TestConfigValidation:
         {"population": 1}, {"generations": 0}, {"crossover_rate": 2.0},
         {"noise_kinds": ("gaussian", "speckle")}, {"noise_percents": (5.0, 150.0)},
         {"seeds": (0, -1)}, {"clusters": 0}, {"clusters": -2}, {"slice_spec": "q:1"},
+        {"dims": (8, 8)}, {"dims": (0, 8, 8)}, {"shells": 1}, {"dims": (4, 4, 4), "shells": 4},
     ], ids=lambda bad: next(iter(bad)))
     def test_bad_setting_fails_when_built(self, bad):
         # refused once, not in an error row for every cell
@@ -100,7 +106,7 @@ class TestConfigValidation:
         small_config(slice_spec="z:23")
 
     def test_phantom_dims_keep_the_phantom_check(self):
-        # the slice check leaves malformed dims to generate_phantom's typed error
+        # malformed dims get the phantom's typed error, not the slice check's
         with pytest.raises(ValidationError, match="three positive integers"):
             run_benchmark(small_config(dims=(24, 24)))
 
@@ -121,7 +127,7 @@ class TestConfigValidation:
 class TestRunCell:
     def test_fcm_mean_row_matches_direct_scoring(self):
         cfg = small_config()
-        rows = run_cell(cfg, "fcm", "gaussian", 5.0, 0)
+        rows = cell(cfg, "fcm", "gaussian", 5.0, 0)
         assert len(rows) == 1
         row = rows[0]
         scores, iterations = reference_scores(cfg, "gaussian", 5.0, 0)
@@ -141,7 +147,7 @@ class TestRunCell:
 
     def test_per_cluster_rows_precede_mean(self):
         cfg = small_config(per_cluster=True)
-        rows = run_cell(cfg, "fcm", "gaussian", 5.0, 0)
+        rows = cell(cfg, "fcm", "gaussian", 5.0, 0)
         assert len(rows) == cfg.cluster_count + 1
         assert [r["cluster"] for r in rows] == [0, 1, "mean"]
         scores, _ = reference_scores(cfg, "gaussian", 5.0, 0)
@@ -151,7 +157,7 @@ class TestRunCell:
 
     def test_literal_error_share(self):
         cfg = small_config(literal_incs=True, noise_percents=(20.0,))
-        rows = run_cell(cfg, "fcm", "gaussian", 20.0, 0)
+        rows = cell(cfg, "fcm", "gaussian", 20.0, 0)
         scores, _ = reference_scores(cfg, "gaussian", 20.0, 0)
         assert rows[0]["IncS"] == format(scores["mean_incs"], ".10g")
         assert float(rows[0]["IncS"]) > 0.0
@@ -161,7 +167,7 @@ class TestRunCell:
 
     def test_volumetric_pipeline_reports_its_settings(self):
         cfg = small_config(dims=(16, 16, 16), decay=1.5, depth=2)
-        rows = run_cell(cfg, "3dpifcm", "gaussian", 5.0, 0)
+        rows = cell(cfg, "3dpifcm", "gaussian", 5.0, 0)
         row = rows[0]
         assert row["status"] == "ok"
         assert row["h"] == "1.5"
@@ -172,7 +178,7 @@ class TestRunCell:
 
     def test_failure_becomes_status_row(self):
         cfg = small_config()
-        rows = run_cell(cfg, "fcm", "gaussian", 150.0, 0)
+        rows = cell(cfg, "fcm", "gaussian", 150.0, 0)
         assert len(rows) == 1
         row = rows[0]
         assert row["status"].startswith("error:")
@@ -182,16 +188,16 @@ class TestRunCell:
     def test_external_volume_source(self, tmp_path):
         cfg = small_config()
         external = external_config(tmp_path, cfg)
-        assert strip_times(run_cell(external, "fcm", "gaussian", 5.0, 0)) == \
-            strip_times(run_cell(cfg, "fcm", "gaussian", 5.0, 0))
+        assert strip_times(cell(external, "fcm", "gaussian", 5.0, 0)) == \
+            strip_times(cell(cfg, "fcm", "gaussian", 5.0, 0))
 
     def test_single_slice_truth_scores_like_the_full_truth(self, tmp_path):
         cfg = small_config(slice_spec="y:5")
         external = external_config(tmp_path, cfg)
         truth = extract_slice(load_labels(external.truth_path), SliceRef("y", 5))
         save_volume(truth, external.truth_path)
-        assert strip_times(run_cell(external, "fcm", "gaussian", 5.0, 0)) == \
-            strip_times(run_cell(cfg, "fcm", "gaussian", 5.0, 0))
+        assert strip_times(cell(external, "fcm", "gaussian", 5.0, 0)) == \
+            strip_times(cell(cfg, "fcm", "gaussian", 5.0, 0))
 
 
 def external_config(tmp_path, cfg, truth_dims=None):
@@ -228,6 +234,40 @@ class TestRunBenchmark:
         serial, _ = run_benchmark(cfg, threads=1)
         parallel, _ = run_benchmark(cfg, threads=2)
         assert strip_times(serial) == strip_times(parallel)
+        sweep = [run_sweep(cfg, "percent", (5.0, 9.0), "fcm", threads=threads)
+                 for threads in (1, 2)]
+        assert sweep[0] == sweep[1]
+
+    @pytest.mark.parametrize("source", ["phantom", "volume"])
+    def test_source_built_once_per_run(self, tmp_path, monkeypatch, source):
+        # every cell, and every sweep grid point, shares the one build
+        cfg = small_config(algorithms=("fcm", "ifcm"), seeds=(0, 1))
+        if source == "volume":
+            cfg = external_config(tmp_path, cfg)
+        builds = []
+        for name in ("generate_phantom", "load_volume", "load_labels"):
+            real = getattr(bench, name)
+            monkeypatch.setattr(bench, name, lambda *args, real=real, name=name:
+                                builds.append(name) or real(*args))
+        once = ["generate_phantom"] if source == "phantom" else ["load_volume", "load_labels"]
+        run_benchmark(cfg)
+        assert builds == once
+        builds.clear()
+        run_sweep(cfg, "h", (1.0, 1.5, 2.0), "3dpifcm")
+        assert builds == once
+
+    def test_threaded_sweep_opens_one_pool(self, monkeypatch):
+        pools = []
+
+        class Counted(bench.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append((*args, *kwargs.values()))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", Counted)
+        rows = run_sweep(small_config(), "percent", (5.0, 9.0, 12.0), "fcm", threads=2)
+        assert len(rows) == 3 and all(row["mean_incs"] for row in rows)
+        assert pools == [(2,)]
 
     def test_thread_count_validated(self):
         with pytest.raises(ValidationError):
@@ -341,7 +381,7 @@ class TestSweep:
     @pytest.mark.parametrize("param, grid", [("v", (2.0, 9.0)), ("h", (1.0, 0.0)),
                                              ("percent", (5.0, 150.0)), ("v", (2.0, 2.5))])
     def test_bad_grid_value_fails_before_any_cell(self, monkeypatch, param, grid):
-        monkeypatch.setattr(bench, "run_benchmark",
+        monkeypatch.setattr(bench, "run_cell",
                             lambda *args, **kwargs: pytest.fail("a cell ran"))
         with pytest.raises(ValidationError):
             run_sweep(small_config(), param, grid, "3dpifcm")

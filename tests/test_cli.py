@@ -201,7 +201,7 @@ def test_segment_holds_only_the_truth_slice(assets, tmp_path, monkeypatch, capsy
         return segment(*args, **kwargs)
 
     monkeypatch.setattr(cli, "load_labels", load)
-    monkeypatch.setattr(cli, "segment", spy)
+    monkeypatch.setattr(bench, "segment", spy)
     code = main(["segment", "--in", str(assets["noisy"]), "--algo", "fcm",
                  "--slice", "z:12", "--c", "2", "--out", str(tmp_path / "seg.vxf"),
                  "--truth", str(assets["truth"]),
@@ -218,7 +218,7 @@ def test_segment_rejects_truth_that_does_not_cover_the_slice(assets, tmp_path,
     small = tmp_path / "small.vxf"
     save_volume(generate_phantom(PhantomSpec(dims=(16, 16, 16), num_shells=2))[1], small)
     calls = []
-    monkeypatch.setattr(cli, "segment", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(bench, "segment", lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "seg.vxf"
     code = main(["segment", "--in", str(assets["noisy"]), "--algo", "fcm",
                  "--slice", "z:12", "--c", "2", "--out", str(out),
@@ -485,8 +485,8 @@ def captured_calls(monkeypatch, argv):
         calls.append(args)
         raise RuntimeError("stopped by the spy")
 
-    for name in ("segment", "run_benchmark", "run_sweep"):
-        monkeypatch.setattr(cli, name, spy)
+    for module, name in ((bench, "segment"), (cli, "run_benchmark"), (cli, "run_sweep")):
+        monkeypatch.setattr(module, name, spy)
     assert main(argv + ["--quiet"]) == 2
     assert len(calls) == 1
     return calls[0]

@@ -109,9 +109,26 @@ def test_converge_rejects_invalid_membership(monkeypatch):
     sl = extract_slice(vol, SliceRef("z", 8))
     base = gmm_fcm(sl, 2, CFG)
     monkeypatch.setattr("voxseg.pipelines.ifcm_step",
-                        lambda ctx, u, centers, params, cfg: (2.0 * u, centers, 0.0))
+                        lambda ctx, u, centers, params, cfg: (u, 2.0 * u, centers, 0.0))
     with pytest.raises(ValidationError, match="membership"):
         ifcm(sl, AttractionParams(0.5, 0.5), base)
+
+
+def test_converge_step_that_reorders_the_centers_aligns_before():
+    # a settled fit handed over with its clusters listed high to low: the
+    # first step sorts the centers, so settle must compare the memberships
+    # in that new order, and then the run has already settled
+    vol, _ = generate_phantom(PhantomSpec(dims=(16, 16, 16), num_shells=2))
+    sl = extract_slice(add_noise(vol, NoiseSpec("gaussian", 5.0, 0)), SliceRef("z", 8))
+    base = gmm_fcm(sl, 2, CFG)
+    flipped = (base.membership[:, ::-1], base.centers[::-1])
+    params = AttractionParams(0.0, 0.0)
+    before, _, centers, _ = ifcm_step(plane_context(sl), *flipped, params, CFG)
+    assert np.all(np.diff(centers) > 0)
+    assert np.array_equal(before, base.membership)
+    res = ifcm(sl, params, flipped, CFG)
+    assert (res.iterations, res.stop_reason) == (1, "converged")
+    assert res.labels == ifcm(sl, params, base, CFG).labels
 
 
 def test_search_never_loses_to_no_attraction():
@@ -342,7 +359,7 @@ def test_probe_runs_ifcm_step_from_the_start(three_d):
         probed = propagate(0.6, 0.3)
         stepped = (start.membership, start.centers)
         for _ in range(steps):
-            stepped = ifcm_step(ctx, *stepped[:2], params, CFG)
+            stepped = ifcm_step(ctx, *stepped[:2], params, CFG)[1:]
         assert np.array_equal(probed[0], stepped[0])
         assert np.array_equal(probed[1], stepped[1])
         assert probed[2] == stepped[2]
