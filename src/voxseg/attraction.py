@@ -330,18 +330,19 @@ def attraction_distances(ctx, u: np.ndarray, centers: np.ndarray,
 
 
 def ifcm_step(ctx, u: np.ndarray, centers: np.ndarray, params: AttractionParams,
-              cfg: FcmConfig, terms=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+              cfg: FcmConfig, terms=None) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, float]:
     """One Picard update under attraction distances, the step both the weight
     probe and :func:`voxseg.fcm.settle` run.
 
     Recomputes distances from the given state, or from ``terms`` gathered
-    there, updates memberships, then centers; returns ``u`` permuted as the
-    centers were sorted, the new pair, and the cost evaluated with the new
+    there, updates memberships, then centers; returns the column order the
+    centers were sorted into (None when no column moved), the new memberships
+    and centers in that order, and the cost evaluated with the new
     memberships against the distances just used: settle's step result.
     """
     d2 = attraction_distances(ctx, u, centers, cfg.fuzziness,
                               params.feature_weight, params.spatial_weight, terms)
-    after = update_membership(d2, cfg.fuzziness)
-    cost = jm_cost(after, d2, cfg.fuzziness)
-    centers, after, before = update_centers(after, ctx.data, cfg.fuzziness, u)
-    return before, after, centers, cost
+    u = update_membership(d2, cfg.fuzziness)
+    cost = jm_cost(u, d2, cfg.fuzziness)
+    centers, u, order = update_centers(u, ctx.data, cfg.fuzziness)
+    return order, u, centers, cost

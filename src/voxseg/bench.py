@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
-from itertools import product, starmap
+from itertools import product
 
 import numpy as np
 
@@ -194,24 +194,40 @@ def run_cell(cfg: BenchConfig, source, algorithm: str, kind: str, percent: float
     return [dict(base, **row, wall_time_ms=wall_time_ms, status=status) for row in rows]
 
 
+_worker_source = None  # a pool worker's copy of the run's source, handed over once
+
+
+def _share(source) -> None:
+    global _worker_source
+    _worker_source = source
+
+
+def _worker_cell(cfg: BenchConfig, *cell) -> list[dict]:
+    return run_cell(cfg, _worker_source, *cell)
+
+
 def _run(cfg: BenchConfig, points: list[BenchConfig], threads: int, log) -> list[list[dict]]:
     """Report rows of each config in ``points``, all on the one source ``cfg`` builds: every
-    cell in config order, in this process or over one pool, logged as its rows arrive."""
+    cell in config order, in this process or over one pool whose workers each get the source
+    once, logged as its rows arrive."""
     if int(threads) < 1:
         raise ValidationError("threads must be at least 1")
     source = _source(cfg)
-    jobs = [(point, source, *cell) for point in points for cell in product(
+    cells = [(i, cell) for i, point in enumerate(points) for cell in product(
         point.algorithms, point.noise_kinds, point.noise_percents, point.seeds)]
-    rows = {id(point): [] for point in points}
-    with ProcessPoolExecutor(int(threads)) if threads > 1 else nullcontext() as pool:
-        groups = pool.map(run_cell, *zip(*jobs)) if pool else starmap(run_cell, jobs)
-        for (point, _, algorithm, kind, percent, seed), group in zip(jobs, groups):
+    jobs = [(points[i], *cell) for i, cell in cells]
+    rows = [[] for _ in points]
+    with (ProcessPoolExecutor(int(threads), initializer=_share, initargs=(source,))
+          if threads > 1 else nullcontext()) as pool:
+        groups = (pool.map(_worker_cell, *zip(*jobs)) if pool
+                  else (run_cell(point, source, *cell) for point, *cell in jobs))
+        for (i, (algorithm, kind, percent, seed)), group in zip(cells, groups):
             if log is not None:
                 mean = next((r["IncS"] for r in group if r["cluster"] == "mean"), "")
                 log(f"{algorithm} {kind} {percent}% seed={seed} "
                     f"IncS={mean or 'n/a'} [{group[-1]['status']}]")
-            rows[id(point)].extend(group)
-    return [rows[id(point)] for point in points]
+            rows[i].extend(group)
+    return rows
 
 
 def run_benchmark(cfg: BenchConfig, threads: int = 1,
@@ -286,8 +302,10 @@ SWEEP_COLUMNS = ("param", "value", "algorithm", "noise_kind", "noise_percent",
 
 
 def write_csv(rows: list[dict], columns, path_or_handle) -> None:
-    with (nullcontext(path_or_handle) if hasattr(path_or_handle, "write")
-          else open(path_or_handle, "w", newline="")) as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
+    if hasattr(path_or_handle, "write"):
+        writer = csv.DictWriter(path_or_handle, fieldnames=list(columns), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
+        return
+    with open(path_or_handle, "w", newline="") as fh:
+        write_csv(rows, columns, fh)

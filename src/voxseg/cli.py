@@ -41,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _triple(text: str) -> tuple[int, int, int]:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"expected three comma-separated integers, got {text!r}")
+    return tuple(int(p) for p in parts)
+
+
 def _list_of(kind):
     """Flag type: comma-separated ``kind`` items, blank items skipped."""
     def parse(text: str) -> tuple:
@@ -125,7 +132,7 @@ def _matrix_flags(parser):
     parser.add_argument("--kinds", dest="noise_kinds", type=_list_of(str))
     parser.add_argument("--percents", dest="noise_percents", type=_list_of(float))
     parser.add_argument("--seeds", type=_list_of(int))
-    parser.add_argument("--dims", type=_list_of(int))
+    parser.add_argument("--dims", type=_triple)
     parser.add_argument("--shells", type=int)
     parser.add_argument("--slice", dest="slice_spec",
                         help='plane to segment: "mid" or e.g. z:48 (default %(default)s)')
@@ -139,18 +146,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     parser.commands = sub.choices
 
-    def command(name, func, help):
-        """Subcommand ``name``, which runs ``func``, with the global flags."""
-        p = sub.add_parser(name, help=help)
-        _globals(p, suppress=True)
-        p.set_defaults(func=func)
-        return p
-
-    p = command("phantom", cmd_phantom, "generate a nested-cuboid test volume")
+    p = sub.add_parser("phantom", help="generate a nested-cuboid test volume")
+    _globals(p, suppress=True)
     p.add_argument("--out", required=True, help="output intensity volume (.vxf)")
     p.add_argument("--labels", "--truth", dest="truth", default=None,
                    help="optional output label volume")
-    p.add_argument("--dims", type=_list_of(int), default=PhantomSpec.dims,
+    p.add_argument("--dims", type=_triple, default=PhantomSpec.dims,
                    help="grid extents nx,ny,nz (default %(default)s)")
     p.add_argument("--shells", type=int, default=PhantomSpec.num_shells,
                    help="number of nested shells (default %(default)s)")
@@ -158,15 +159,19 @@ def build_parser() -> _Parser:
                    help="brightest-tissue intensity level (default %(default)s)")
     p.add_argument("--margin", type=int, default=PhantomSpec.margin,
                    help="inset between consecutive cuboids")
+    p.set_defaults(func=cmd_phantom)
 
-    p = command("noise", cmd_noise, "corrupt a volume with gaussian or poisson noise")
+    p = sub.add_parser("noise", help="corrupt a volume with gaussian or poisson noise")
+    _globals(p, suppress=True)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--percent", type=float, required=True,
                    help="noise level as percent of intensity_max, in (0, 100]")
+    p.set_defaults(func=cmd_noise)
 
-    p = command("segment", cmd_segment, "segment one slice of a volume")
+    p = sub.add_parser("segment", help="segment one slice of a volume")
+    _globals(p, suppress=True)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--algo", "--algorithm", dest="algorithm",
                    choices=ALGORITHMS, required=True)
@@ -183,8 +188,10 @@ def build_parser() -> _Parser:
                    help="label volume to score the result against")
     p.add_argument("--metrics", default=None,
                    help="CSV path for the scores (stdout when omitted)")
+    p.set_defaults(func=cmd_segment)
 
-    p = command("eval", cmd_eval, "score predicted labels against ground truth")
+    p = sub.add_parser("eval", help="score predicted labels against ground truth")
+    _globals(p, suppress=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--slice", dest="slice_spec", default=None,
@@ -195,8 +202,10 @@ def build_parser() -> _Parser:
     p.add_argument("--literal-incs", dest="literal_incs", action="store_true",
                    help="report IncS as (UnS + OS) / total instead of error share")
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
+    p.set_defaults(func=cmd_eval)
 
-    p = command("bench", cmd_bench, "run the algorithm x noise benchmark matrix")
+    p = sub.add_parser("bench", help="run the algorithm x noise benchmark matrix")
+    _globals(p, suppress=True)
     p.add_argument("--algorithms", type=_list_of(str))
     _matrix_flags(p)
     p.add_argument("--volume", dest="volume_path", default=None,
@@ -209,14 +218,17 @@ def build_parser() -> _Parser:
     p.add_argument("--report", default=None, help="report CSV (stdout when omitted)")
     p.add_argument("--compare", default=None,
                    help="CSV comparing each algorithm against 3dpifcm")
+    p.set_defaults(func=cmd_bench)
 
-    p = command("sweep", cmd_sweep, "vary one hyperparameter and track mean IncS")
+    p = sub.add_parser("sweep", help="vary one hyperparameter and track mean IncS")
+    _globals(p, suppress=True)
     p.add_argument("--param", choices=("h", "v", "percent"), required=True)
     p.add_argument("--grid", type=_list_of(float), required=True)
     p.add_argument("--algo", "--algorithm", dest="algorithm",
                    choices=ALGORITHMS, default="3dpifcm")
     _matrix_flags(p)
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -273,6 +285,10 @@ def _load_input(loader, path):
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
+
+
+def _logger(args):
+    return None if args.quiet else (lambda line: print(line, file=sys.stderr))
 
 
 def cmd_phantom(args) -> None:
@@ -359,7 +375,7 @@ def _settings(args, *own) -> BenchConfig:
 
 def cmd_bench(args) -> None:
     rows, comparison = run_benchmark(_settings(args), threads=args.threads,
-                                     log=lambda line: _say(args, line))
+                                     log=_logger(args))
     write_csv(rows, REPORT_COLUMNS, args.report if args.report else sys.stdout)
     if args.compare:
         write_csv(comparison, COMPARISON_COLUMNS, args.compare)
@@ -367,7 +383,7 @@ def cmd_bench(args) -> None:
 
 def cmd_sweep(args) -> None:
     rows = run_sweep(_settings(args), args.param, args.grid, args.algorithm,
-                     threads=args.threads, log=lambda line: _say(args, line))
+                     threads=args.threads, log=_logger(args))
     write_csv(rows, SWEEP_COLUMNS, args.out if args.out else sys.stdout)
 
 

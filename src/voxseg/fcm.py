@@ -130,13 +130,14 @@ def update_membership(d2: np.ndarray, fuzziness: float) -> np.ndarray:
     return u
 
 
-def update_centers(u: np.ndarray, data: np.ndarray, fuzziness: float,
-                   *alongside: np.ndarray) -> tuple[np.ndarray, ...]:
+def update_centers(u: np.ndarray, data: np.ndarray, fuzziness: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """u^m-weighted means, sorted ascending.
 
-    Returns ``(centers, u, *alongside)``, the columns of each array permuted
-    to match the sorted order, so callers hold consistently labelled arrays;
-    when the means already ascend, the arrays come back as given.
+    Returns ``(centers, u, order)``: ``u`` with its membership columns put in
+    ``order``, the order that sorts the means, so callers always hold a
+    consistently labelled pair; when the means already ascend, ``u`` comes
+    back as given and ``order`` is None.
     """
     u = np.asarray(u, dtype=np.float64)
     data = np.asarray(data, dtype=np.float64).ravel()
@@ -147,9 +148,14 @@ def update_centers(u: np.ndarray, data: np.ndarray, fuzziness: float,
         raise DegenerateClusterError(f"cluster(s) {empty.tolist()} lost all membership")
     centers = total / mass
     if np.all(centers[:-1] <= centers[1:]):  # a stable sort would move no column
-        return centers, u, *alongside
+        return centers, u, None
     order = np.argsort(centers, kind="stable")
-    return centers[order], *(a[:, order] for a in (u, *alongside))
+    return centers[order], u[:, order], order
+
+
+def reorder(u: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """``u`` with its columns in ``order``; ``u`` itself when ``order`` is None."""
+    return u if order is None else u[:, order]
 
 
 def gmm_init(data: np.ndarray, c: int, scale: float | None = None) -> np.ndarray:
@@ -250,10 +256,10 @@ def fcm(data: np.ndarray, c: int, cfg: FcmConfig,
             raise ValidationError(f"expected {c} centers, got {centers.size}")
 
     def step(u, centers):
-        centers, u = update_centers(u, data, cfg.fuzziness)
+        centers, _, order = update_centers(u, data, cfg.fuzziness)
         d2 = (data[:, None] - centers) ** 2
         u_next = update_membership(d2, cfg.fuzziness)
-        return u, u_next, centers, jm_cost(u_next, d2, cfg.fuzziness)
+        return order, u_next, centers, jm_cost(u_next, d2, cfg.fuzziness)
 
     # handed over directly, so no local here keeps them alive through the loop
     return settle(step, update_membership((data[:, None] - centers) ** 2, cfg.fuzziness),
@@ -264,17 +270,22 @@ def settle(step, u: np.ndarray, centers: np.ndarray, cfg: FcmConfig) -> FcmResul
     """Repeat the Picard step ``step`` from ``(u, centers)`` until the
     memberships settle.
 
-    ``step(u, centers)`` returns ``(before, after, centers, cost)``: ``u``
-    with its columns permuted as the step sorted the new centers, the next
-    memberships, the new centers and the cost.  ``stop_reason`` is "converged" once
-    after and before differ by less than ``cfg.tolerance`` in the max norm;
-    at ``cfg.max_iterations`` it is "cycle" when the last iterate is that
-    close to the one two steps earlier (the loop alternates between two
-    states), else "cap".  Only that earlier iterate outlives a step.
+    ``step(u, centers)`` returns ``(order, after, centers, cost)``: the
+    column order the step sorted the new centers into (None when it moved
+    no column), the next memberships, the new centers and the cost.  Every
+    earlier iterate kept is put in that order too, so iterates are compared
+    cluster by cluster.  ``stop_reason`` is "converged" once after and
+    before differ by less than ``cfg.tolerance`` in the max norm; at
+    ``cfg.max_iterations`` it is "cycle" when the last iterate is that close
+    to the one two steps earlier (the loop alternates between two states),
+    else "cap".  Only that earlier iterate outlives a step.
     """
     two_back = None
     for done in range(cfg.max_iterations):
-        before, u, centers, cost = step(u, centers)
+        order, after, centers, cost = step(u, centers)
+        before, u = reorder(u, order), after
+        if two_back is not None:
+            two_back = reorder(two_back, order)
         if float(np.abs(u - before).max()) < cfg.tolerance:
             return FcmResult(u, centers, done + 1, cost, "converged")
         if done == cfg.max_iterations - 2:

@@ -211,7 +211,7 @@ def test_criterion_09_invariant_fuzz(criteria):
         assert np.all(u >= 0.0) and np.all(u <= 1.0)
         assert np.max(np.abs(u.sum(axis=1) - 1.0)) <= 1e-9
         data = rng.uniform(0.0, 255.0, n)
-        centers, _ = update_centers(u, data, m)
+        centers, _, _ = update_centers(u, data, m)
         um = u ** m
         brute = np.sort((um * data[:, None]).sum(axis=0) / um.sum(axis=0))
         assert np.max(np.abs(centers - brute)) <= 1e-9
@@ -261,7 +261,7 @@ def test_criterion_09_invariant_fuzz(criteria):
         u = update_membership((data[:, None] - centers) ** 2, 2.0)
         prev = np.inf
         for _ in range(20):
-            centers, u = update_centers(u, data, 2.0)
+            centers, u, _ = update_centers(u, data, 2.0)
             d2 = (data[:, None] - centers) ** 2
             u = update_membership(d2, 2.0)
             cost = jm_cost(u, d2, 2.0)

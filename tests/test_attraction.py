@@ -377,7 +377,7 @@ def test_ifcm_step_zero_weights_is_plain_fcm_step():
     d2 = (ctx.data[:, None] - centers) ** 2
     u_ref = update_membership(d2, cfg.fuzziness)
     cost_ref = jm_cost(u_ref, d2, cfg.fuzziness)
-    c_ref, u_ref = update_centers(u_ref, ctx.data, cfg.fuzziness)
+    c_ref, u_ref, _ = update_centers(u_ref, ctx.data, cfg.fuzziness)
     assert np.array_equal(u2, u_ref)
     assert np.array_equal(c2, c_ref)
     assert cost == cost_ref

@@ -257,17 +257,25 @@ class TestRunBenchmark:
         assert builds == once
 
     def test_threaded_sweep_opens_one_pool(self, monkeypatch):
-        pools = []
+        # one pool for the whole grid; its workers get the source once, so
+        # each task carries only its config and cell
+        pools, sent = [], set()
 
         class Counted(bench.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append((*args, *kwargs.values()))
-                super().__init__(*args, **kwargs)
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+            def map(self, fn, *columns):
+                columns = [list(column) for column in columns]
+                sent.update(type(arg).__name__ for column in columns for arg in column)
+                return super().map(fn, *columns)
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", Counted)
         rows = run_sweep(small_config(), "percent", (5.0, 9.0, 12.0), "fcm", threads=2)
         assert len(rows) == 3 and all(row["mean_incs"] for row in rows)
-        assert pools == [(2,)]
+        assert pools == [2]
+        assert sent == {"BenchConfig", "str", "float", "int"}
 
     def test_thread_count_validated(self):
         with pytest.raises(ValidationError):

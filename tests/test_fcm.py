@@ -8,7 +8,8 @@ import pytest
 
 from voxseg.errors import DegenerateClusterError, ValidationError
 from voxseg.fcm import (FcmConfig, check_membership, fcm, gmm_fcm, gmm_init,
-                        jm_cost, settle, update_centers, update_membership)
+                        jm_cost, reorder, settle, update_centers,
+                        update_membership)
 from voxseg.metrics import defuzzify
 from voxseg.phantom import PhantomSpec, generate_phantom
 from voxseg.volume import SliceRef, extract_slice
@@ -109,7 +110,7 @@ def test_update_centers_brute_force():
     u /= u.sum(axis=1, keepdims=True)
     data = rng.uniform(0.0, 100.0, size=9)
     m = 2.0
-    centers, u_out = update_centers(u, data, m)
+    centers, u_out, _ = update_centers(u, data, m)
     assert np.all(np.diff(centers) >= 0)
     # each returned column must reproduce its own center
     for j in range(3):
@@ -120,7 +121,7 @@ def test_update_centers_brute_force():
 def test_update_centers_uniform_membership():
     data = np.array([1.0, 5.0, 9.0])
     u = np.full((3, 2), 0.5)
-    centers, _ = update_centers(u, data, 2.0)
+    centers, _, _ = update_centers(u, data, 2.0)
     assert np.allclose(centers, [5.0, 5.0])
 
 
@@ -137,7 +138,7 @@ def test_update_centers_fsum_reference(m):
     u /= u.sum(axis=1, keepdims=True)
     u[:, [0, 2]] *= data[:, None] / 255.0          # unsorted center order
     u /= u.sum(axis=1, keepdims=True)
-    centers, u_out = update_centers(u, data, m)
+    centers, u_out, order_out = update_centers(u, data, m)
     um = u ** m
     ref = np.array([math.fsum(um[:, j] * data) / math.fsum(um[:, j])
                     for j in range(c)])
@@ -145,9 +146,10 @@ def test_update_centers_fsum_reference(m):
     assert not np.array_equal(order, np.arange(c))
     assert np.allclose(centers, ref[order], rtol=2 * n * 2.0 ** -53, atol=0.0)
     assert np.array_equal(u_out, u[:, order])
+    assert np.array_equal(order_out, order)
     # centres that already ascend return the same memberships object
-    again, u_again = update_centers(u_out, data, m)
-    assert u_again is u_out
+    again, u_again, order_again = update_centers(u_out, data, m)
+    assert u_again is u_out and order_again is None
     assert np.allclose(again, ref[order], rtol=2 * n * 2.0 ** -53, atol=0.0)
 
 
@@ -246,7 +248,7 @@ def test_fcm_monotone_descent():
         u = update_membership((data[:, None] - np.array([60.0, 130.0, 200.0])) ** 2, 2.0)
         costs = []
         for _ in range(20):
-            centers, u = update_centers(u, data, 2.0)
+            centers, u, _ = update_centers(u, data, 2.0)
             d2 = (data[:, None] - centers) ** 2
             u = update_membership(d2, 2.0)
             costs.append(jm_cost(u, d2, 2.0))
@@ -268,16 +270,23 @@ def test_fcm_iteration_cap():
     assert (res.iterations, res.stop_reason) == (2, "cap")
 
 
-@pytest.mark.parametrize("next_u, cap, iterations, reason", [
-    (lambda u: 0.5 * u, 10, 7, "converged"),    # shifts 0.5, 0.25, ..., 2^-7
-    (lambda u: 1.0 - u, 10, 10, "cycle"),       # 0.1 -> 0.9 -> 0.1 -> ...
-    (lambda u: u + 0.5, 10, 10, "cap"),         # every shift is 0.5
-    (lambda u: 1.0 - u, 1, 1, "cap"),           # no iterate two steps back
-], ids=["settle", "alternate", "drift", "one-step"])
-def test_settle_names_why_it_stopped(next_u, cap, iterations, reason):
-    # the step's next iterate is next_u(u); centers and cost are inert
+@pytest.mark.parametrize("next_u, order, cap, iterations, reason", [
+    (lambda u: 0.5 * u, None, 10, 7, "converged"),    # shifts 0.5, 0.25, ..., 2^-7
+    (lambda u: 1.0 - u, None, 10, 10, "cycle"),       # 0.1 -> 0.9 -> 0.1 -> ...
+    (lambda u: u + 0.5, None, 10, 10, "cap"),         # every shift is 0.5
+    (lambda u: 1.0 - u, None, 1, 1, "cap"),           # no iterate two steps back
+    (lambda u: 0.5 * u, [1, 0], 10, 7, "converged"),
+    (lambda u: 1.0 - u, [1, 0], 10, 10, "cycle"),
+    (lambda u: 1.0 - u, [1, 0], 9, 9, "cycle"),
+], ids=["settle", "alternate", "drift", "one-step",
+        "relabelled-settle", "relabelled-alternate", "relabelled-alternate-odd"])
+def test_settle_names_why_it_stopped(next_u, order, cap, iterations, reason):
+    # the step's next iterate is next_u(u), its columns then put in order,
+    # as a step whose centers come out unsorted relabels its clusters every
+    # time; settle compares iterates cluster by cluster, so the relabelling
+    # changes no verdict; centers and cost are inert
     def step(u, centers):
-        return u, next_u(u), centers, 0.0
+        return order, reorder(next_u(u), order), centers, 0.0
 
     start = np.array([[0.1, 0.9], [1.0, 0.0]])
     res = settle(step, start, np.array([1.0, 2.0]),
@@ -285,7 +294,7 @@ def test_settle_names_why_it_stopped(next_u, cap, iterations, reason):
     assert (res.iterations, res.stop_reason) == (iterations, reason)
     expect = start
     for _ in range(iterations):
-        expect = next_u(expect)
+        expect = reorder(next_u(expect), order)
     assert np.array_equal(res.membership, expect)
     assert np.array_equal(res.centers, [1.0, 2.0])
 

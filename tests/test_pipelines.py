@@ -10,7 +10,7 @@ from voxseg import attraction, pipelines
 from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, ifcm_step,
                                plane_context, slice_context)
 from voxseg.errors import ValidationError
-from voxseg.fcm import (FcmConfig, gmm_fcm, jm_cost, update_centers,
+from voxseg.fcm import (FcmConfig, gmm_fcm, jm_cost, reorder, update_centers,
                         update_membership)
 from voxseg.metrics import defuzzify, evaluate_labels
 from voxseg.noise import NoiseSpec, add_noise
@@ -109,7 +109,7 @@ def test_converge_rejects_invalid_membership(monkeypatch):
     sl = extract_slice(vol, SliceRef("z", 8))
     base = gmm_fcm(sl, 2, CFG)
     monkeypatch.setattr("voxseg.pipelines.ifcm_step",
-                        lambda ctx, u, centers, params, cfg: (u, 2.0 * u, centers, 0.0))
+                        lambda ctx, u, centers, params, cfg: (None, 2.0 * u, centers, 0.0))
     with pytest.raises(ValidationError, match="membership"):
         ifcm(sl, AttractionParams(0.5, 0.5), base)
 
@@ -123,9 +123,9 @@ def test_converge_step_that_reorders_the_centers_aligns_before():
     base = gmm_fcm(sl, 2, CFG)
     flipped = (base.membership[:, ::-1], base.centers[::-1])
     params = AttractionParams(0.0, 0.0)
-    before, _, centers, _ = ifcm_step(plane_context(sl), *flipped, params, CFG)
+    order, _, centers, _ = ifcm_step(plane_context(sl), *flipped, params, CFG)
     assert np.all(np.diff(centers) > 0)
-    assert np.array_equal(before, base.membership)
+    assert np.array_equal(reorder(flipped[0], order), base.membership)
     res = ifcm(sl, params, flipped, CFG)
     assert (res.iterations, res.stop_reason) == (1, "converged")
     assert res.labels == ifcm(sl, params, base, CFG).labels
