@@ -142,6 +142,12 @@ def _padded(a: np.ndarray, pad: int) -> np.ndarray:
 class NeighbourContext:
     """Neighbourhood bookkeeping for clustering plane ``z`` of a plane stack.
 
+    Build one through :class:`PlaneContext`, from a single-slice volume or a
+    2-D array, or :class:`SliceContext`, from a volume and the slice to
+    segment; ``plane_context`` and ``slice_context`` are those two classes.
+    Either hands over a view of the caller's array, in its own dtype: this
+    class alone picks the planes its shells reach and casts them to float64.
+
     The clustering state covers plane z; neighbours in other planes of
     the stack contribute their intensities directly and their memberships
     through the plain membership update against the current centers.
@@ -168,7 +174,7 @@ class NeighbourContext:
                  label_dims: tuple[int, int, int], intensity_max: float | None):
         nx, ny, nz = planes.shape
         self.shape = (nx, ny)
-        self.data = planes[:, :, z].ravel(order="F").copy()
+        self.data = planes[:, :, z].astype(np.float64, order="F").ravel(order="F")
         self.offsets = np.concatenate(shells)
         self.label_dims = label_dims
         self.intensity_max = intensity_max
@@ -272,19 +278,20 @@ class NeighbourContext:
 
 
 class PlaneContext(NeighbourContext):
-    """Context for one 2-D image: a one-plane stack with a single shell,
-    the level's in-plane offsets at dz = 0."""
+    """Context for one 2-D image, a single-slice volume or a 2-D array: a
+    one-plane stack with a single shell, the level's in-plane offsets at dz = 0."""
 
-    def __init__(self, plane: np.ndarray, level: int = AttractionParams.level,
-                 label_dims: tuple[int, int, int] | None = None,
-                 intensity_max: float | None = None):
-        plane = np.asfortranarray(plane, dtype=np.float64)
-        if plane.ndim != 2:
-            raise ValidationError(f"plane must be 2-D, got shape {plane.shape}")
+    def __init__(self, img: Volume | np.ndarray, level: int = AttractionParams.level):
+        if isinstance(img, Volume):
+            plane, dims, intensity_max = img.plane(), img.dims, img.intensity_max
+        else:
+            plane, intensity_max = np.asarray(img), None
+            if plane.ndim != 2:
+                raise ValidationError(f"plane must be 2-D, got shape {plane.shape}")
+            dims = (*plane.shape, 1)
         flat = neighborhood_2d(level)
         shell = np.column_stack([flat, np.zeros(len(flat), dtype=np.intp)])
-        super().__init__(plane[:, :, None], 0, (shell,), (1.0,),
-                         label_dims or (plane.shape[0], plane.shape[1], 1), intensity_max)
+        super().__init__(plane[:, :, None], 0, (shell,), (1.0,), dims, intensity_max)
 
 
 class SliceContext(NeighbourContext):
@@ -294,27 +301,14 @@ class SliceContext(NeighbourContext):
     def __init__(self, vol: Volume, ref: SliceRef, depth: int = AttractionParams.depth,
                  decay: float = AttractionParams.decay):
         dims = ref.plane_dims(vol.dims)
-        shells = build_shell_table(depth).shells
-        # only the planes the shells reach are read, so only those are copied
-        reach = max(int(np.abs(shell[:, 2]).max()) for shell in shells)
-        lo = max(0, ref.index - reach)
-        planes = np.moveaxis(vol.data, AXES[ref.axis], 2)[:, :, lo:ref.index + reach + 1]
-        super().__init__(planes.astype(np.float64, order="F"), ref.index - lo, shells,
-                         decay_weights(decay, depth), dims, vol.intensity_max)
+        super().__init__(np.moveaxis(vol.data, AXES[ref.axis], 2), ref.index,
+                         build_shell_table(depth).shells, decay_weights(decay, depth),
+                         dims, vol.intensity_max)
 
 
-def plane_context(img: Volume | np.ndarray, level: int = AttractionParams.level) -> PlaneContext:
-    """Context for a 2-D image given as a single-slice volume or array."""
-    if isinstance(img, Volume):
-        return PlaneContext(img.plane(), level, label_dims=img.dims,
-                            intensity_max=img.intensity_max)
-    return PlaneContext(np.asarray(img), level)
-
-
-def slice_context(vol: Volume, ref: SliceRef, depth: int = AttractionParams.depth,
-                  decay: float = AttractionParams.decay) -> SliceContext:
-    """Context for one slice with shell neighbourhoods into the volume."""
-    return SliceContext(vol, ref, depth, decay)
+# the factory names the pipelines call are the classes themselves
+plane_context = PlaneContext
+slice_context = SliceContext
 
 
 def attraction_distances(ctx, u: np.ndarray, centers: np.ndarray,

@@ -275,6 +275,8 @@ def run_sweep(cfg: BenchConfig, param: str, grid, algorithm: str,
     """Vary one hyperparameter over ``grid`` with everything else fixed."""
     if param not in ("h", "v", "percent"):
         raise ValidationError(f"sweep parameter must be h, v or percent, got {param!r}")
+    if not len(grid):
+        raise ValidationError("sweep grid must have at least one value")
     if param == "v" and not all(float(value).is_integer() for value in grid):
         raise ValidationError(f"v counts shells, so it must be a whole number: {list(grid)}")
     # every grid point's config is built, and so checked, before any cell runs

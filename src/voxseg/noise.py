@@ -34,8 +34,9 @@ class NoiseSpec:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    # counter-based bit generator: per-voxel draws do not depend on the
-    # order fields are filled in, so parallel generation stays reproducible
+    # every field is drawn whole, in one pass: a normal or Poisson draw uses a
+    # variable number of Philox words, so part of a field cannot be regenerated
+    # on its own, and each bench cell must corrupt the whole volume
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 

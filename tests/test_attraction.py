@@ -353,6 +353,47 @@ def test_slice_context_axis_equivalence():
     assert np.allclose(fa, fb, atol=1e-15)
 
 
+@pytest.mark.parametrize("axis", ["z", "x", "y"])
+@pytest.mark.parametrize("depth", [3, 5])
+def test_slice_context_reads_only_the_planes_its_shells_reach(axis, depth):
+    # the terms must not change when every plane beyond the shells' reach is
+    # replaced, at either face and inside the volume
+    rng = np.random.default_rng(24)
+    grid = rng.uniform(0, 100, size=(6, 5, 7)).astype(np.float32)
+    reach = int(np.abs(np.concatenate(build_shell_table(depth).shells)[:, 2]).max())
+    along = "xyz".index(axis)
+    for index in (0, grid.shape[along] // 2, grid.shape[along] - 1):
+        far = np.abs(np.arange(grid.shape[along]) - index) > reach
+        other = grid.copy()
+        np.moveaxis(other, along, 0)[far] = rng.uniform(0, 100, size=(
+            int(far.sum()), *np.delete(grid.shape, along)))
+        contexts = [slice_context(Volume(grid.shape, g, 100.0), SliceRef(axis, index),
+                                  depth, 1.5) for g in (grid, other)]
+        u = rng.uniform(0.01, 1, size=(contexts[0].data.size, 3))
+        u /= u.sum(axis=1, keepdims=True)
+        centers = np.array([20.0, 50.0, 80.0])
+        (ha, fa), (hb, fb) = (ctx.attraction_terms(u, centers, 2.0) for ctx in contexts)
+        assert np.array_equal(ha, hb) and np.array_equal(fa, fb)
+
+
+@pytest.mark.parametrize("dims", [(6, 5, 1), (1, 6, 5), (6, 1, 5)])
+def test_plane_context_from_a_single_slice_volume(dims):
+    # a float32 single-slice volume and its plane as a float64 array give the
+    # same terms; the volume's context carries its dims and intensity_max
+    rng = np.random.default_rng(25)
+    vol = Volume(dims, rng.uniform(0, 90, size=dims), 100.0)
+    from_volume, from_array = PlaneContext(vol, 3), PlaneContext(
+        vol.plane().astype(np.float64), 3)
+    assert np.array_equal(from_volume.data, from_array.data)
+    u = rng.uniform(0.01, 1, size=(from_volume.data.size, 2))
+    u /= u.sum(axis=1, keepdims=True)
+    for a, b in zip(from_volume.attraction_terms(u, np.array([30.0, 60.0]), 2.0),
+                    from_array.attraction_terms(u, np.array([30.0, 60.0]), 2.0)):
+        assert np.array_equal(a, b)
+    assert (from_volume.label_dims, from_volume.intensity_max) == (dims, 100.0)
+    assert (from_array.label_dims, from_array.intensity_max) == ((*vol.plane().shape, 1), None)
+
+
 def test_labels_volume_embedding():
     rng = np.random.default_rng(18)
     grid = rng.uniform(0, 100, size=(3, 4, 5))

@@ -394,6 +394,11 @@ class TestSweep:
         with pytest.raises(ValidationError):
             run_sweep(small_config(), param, grid, "3dpifcm")
 
+    def test_empty_grid_fails_before_the_source_is_built(self, monkeypatch):
+        monkeypatch.setattr(bench, "_source", lambda cfg: pytest.fail("the source was built"))
+        with pytest.raises(ValidationError, match="at least one value"):
+            run_sweep(small_config(), "h", [], "3dpifcm")
+
 
 class TestWriteCsv:
     ROWS = [{"param": "h", "value": "1.5", "algorithm": "3dpifcm",

@@ -423,6 +423,14 @@ def test_sweep_csv(tmp_path):
     assert all(r["algorithm"] == "fcm" for r in rows)
 
 
+def test_empty_sweep_grid_fails_before_the_source_is_built(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "_source", lambda cfg: pytest.fail("the source was built"))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--param", "h", "--grid", ",", "--out", str(out), "--quiet"]) == 1
+    assert "sweep grid must have at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("dims = 12,12,12\nshells = 2\nquiet = yes\n")

@@ -367,16 +367,17 @@ def test_probe_runs_ifcm_step_from_the_start(three_d):
 
 def test_geometry_defaults_are_attraction_params():
     # the contexts and the 3-D entry default their level, depth and decay to
-    # AttractionParams'; this guards that the two stay in step
+    # AttractionParams'; this guards that the two stay in step.  The factory
+    # names are the context classes, so they have no defaults of their own.
+    assert attraction.plane_context is attraction.PlaneContext
+    assert attraction.slice_context is attraction.SliceContext
     owner = AttractionParams()
     checked = [(entry.__name__, name)
                for entry in (attraction.PlaneContext, attraction.SliceContext,
-                             attraction.plane_context, attraction.slice_context,
                              pipelines.pso_ifcm_3d)
                for name, param in inspect.signature(entry).parameters.items()
                if name in ("level", "depth", "decay")
                and param.default == getattr(owner, name)]
     assert checked == [("PlaneContext", "level"), ("SliceContext", "depth"),
-                       ("SliceContext", "decay"), ("plane_context", "level"),
-                       ("slice_context", "depth"), ("slice_context", "decay"),
-                       ("pso_ifcm_3d", "depth"), ("pso_ifcm_3d", "decay")]
+                       ("SliceContext", "decay"), ("pso_ifcm_3d", "depth"),
+                       ("pso_ifcm_3d", "decay")]
