@@ -1,14 +1,15 @@
 """End-to-end segmentation pipelines.
 
-All five algorithms run the same stages: one neighbour context per slice
-(in-plane in 2-D; shells into adjacent slices for ``3dpifcm``), one
-GMM-seeded fuzzy c-means start, then weights that are given (``ifcm``) or
-tuned by probing a few attraction steps from that start, then attraction
-steps run by :func:`voxseg.fcm.settle`, fuzzy c-means' own loop.  Probe and
+All five algorithms run one body, four stages on one clock: build the
+neighbour context of the slice (in-plane in 2-D; shells into adjacent
+slices for ``3dpifcm``); take the start, a GMM-seeded fuzzy c-means fit or
+the state ``ifcm`` is given; take the weights, given (``ifcm``) or tuned by
+probing a few attraction steps from that start; then settle attraction
+steps with :func:`voxseg.fcm.settle`, fuzzy c-means' own loop.  Probe and
 loop run the same step, :func:`voxseg.attraction.ifcm_step`.
-Plain ``fcm`` skips the weights and that run: its start is its answer.
-Every result names why its loop stopped and takes its labels from
-:func:`voxseg.metrics.defuzzify`.
+Plain ``fcm`` takes no weights and skips that loop: its start is its answer.
+``wall_time`` covers all four stages.  Every result names why its loop
+stopped and takes its labels from :func:`voxseg.metrics.defuzzify`.
 :func:`segment` picks the algorithm by id for the CLI and the benchmark.
 """
 
@@ -40,7 +41,7 @@ class SegmentationResult:
     spatial_weight: float | None
     iterations: int
     final_cost: float
-    wall_time: float
+    wall_time: float                 # context, start, weights and settle
     stop_reason: str                 # "converged", "cycle" or "cap", from fcm.settle
 
 
@@ -57,24 +58,19 @@ def _initial_state(ctx, clusters: int, cfg: FcmConfig):
     return fcm(ctx.data, clusters, cfg, init_centers=centers0)
 
 
-def _converge(ctx, state, params: AttractionParams | None, cfg: FcmConfig,
-              started: float) -> SegmentationResult:
-    """Settle attraction updates at ``params`` from ``state``, a (u, centers)
-    pair or fit, check the memberships and package the result.  Plain fcm
-    passes ``params=None`` and its fit, as its start is its answer."""
-    if params is None:
-        weights, fit = (None, None), state
-    else:
-        weights = (float(params.feature_weight), float(params.spatial_weight))
-        fit = settle(lambda u, centers: ifcm_step(ctx, u, centers, params, cfg),
-                     state[0], state[1], cfg)
-    check_membership(fit.membership)
-    return SegmentationResult(
-        membership=fit.membership, centers=fit.centers,
-        labels=defuzzify(fit.membership, ctx.label_dims),
-        feature_weight=weights[0], spatial_weight=weights[1],
-        iterations=fit.iterations, final_cost=float(fit.cost),
-        wall_time=time.perf_counter() - started, stop_reason=fit.stop_reason)
+def _given_start(ctx, init):
+    """``init``, a (membership, centers) pair or an FcmResult, checked
+    against ``ctx`` and cast to float64."""
+    if isinstance(init, FcmResult):
+        init = (init.membership, init.centers)
+    if not isinstance(init, (tuple, list)) or len(init) != 2:
+        raise ValidationError("init must be a (membership, centers) pair or an FcmResult")
+    u = np.asarray(init[0], dtype=np.float64)
+    centers = np.asarray(init[1], dtype=np.float64).ravel()
+    if u.shape != (ctx.data.size, centers.size):
+        raise ValidationError(f"init shapes {u.shape} / {centers.shape} do not "
+                              f"match {ctx.data.size} voxels")
+    return u, centers
 
 
 def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
@@ -114,6 +110,38 @@ def _search(propagate, minimize, opt_cfg):
     return kept[1], kept[2]
 
 
+def _pipeline(build, clusters, cfg: FcmConfig | None, params: AttractionParams,
+              weights=None, search=None, init=None, probe_steps: int = 1):
+    """Every algorithm's four stages on one clock: ``build()`` the context;
+    take the start, a fit for ``clusters`` or, when that is None, ``init``;
+    take the weights, none (plain fcm), the given pair, or else ``search``'s
+    (minimiser, config) pick over the probe of the start, from whose kept
+    state the loop starts; settle at the weights and build the result."""
+    if probe_steps < 1:
+        raise ValidationError(f"probe_steps must be >= 1, got {probe_steps}")
+    cfg = cfg or FcmConfig()
+    started = time.perf_counter()
+    ctx = build()
+    state = _given_start(ctx, init) if clusters is None else _initial_state(ctx, clusters, cfg)
+    if weights is None and search is not None:
+        # the probe, holding the start and its terms, goes once the search ends
+        weights, state = _search(_probe(ctx, state[0], state[1], cfg, params, probe_steps),
+                                 search[0], replace(search[1], bounds=WEIGHT_BOUNDS))
+    if weights is not None:
+        weights = (float(weights[0]), float(weights[1]))
+        tuned = replace(params, feature_weight=weights[0], spatial_weight=weights[1])
+        state = settle(lambda u, centers: ifcm_step(ctx, u, centers, tuned, cfg),
+                       state[0], state[1], cfg)
+    check_membership(state.membership)
+    feature_weight, spatial_weight = weights or (None, None)
+    return SegmentationResult(
+        membership=state.membership, centers=state.centers,
+        labels=defuzzify(state.membership, ctx.label_dims),
+        feature_weight=feature_weight, spatial_weight=spatial_weight,
+        iterations=state.iterations, final_cost=float(state.cost),
+        wall_time=time.perf_counter() - started, stop_reason=state.stop_reason)
+
+
 def ifcm(domain, params: AttractionParams, init,
          cfg: FcmConfig | None = None) -> SegmentationResult:
     """Attraction-distance clustering at fixed weights.
@@ -122,40 +150,8 @@ def ifcm(domain, params: AttractionParams, init,
     context; ``init`` is the (membership, centers) start state, or the
     :class:`voxseg.fcm.FcmResult` of a :func:`voxseg.fcm.gmm_fcm` fit.
     """
-    cfg = cfg or FcmConfig()
-    started = time.perf_counter()
-    ctx = _context(domain, params)
-    if isinstance(init, FcmResult):
-        init = (init.membership, init.centers)
-    if not isinstance(init, (tuple, list)) or len(init) != 2:
-        raise ValidationError("init must be a (membership, centers) pair or an FcmResult")
-    u, centers = init
-    u = np.asarray(u, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64).ravel()
-    if u.shape != (ctx.data.size, centers.size):
-        raise ValidationError(f"init shapes {u.shape} / {centers.shape} do not "
-                              f"match {ctx.data.size} voxels")
-    return _converge(ctx, (u, centers), params, cfg, started)
-
-
-def _tuned(build, clusters: int, cfg: FcmConfig | None, params: AttractionParams,
-           minimize, opt_cfg, fixed, probe_steps: int) -> SegmentationResult:
-    """The weight-tuned pipelines: fit the starting state on the context
-    ``build()`` returns, then converge from it at the ``fixed`` weights, or
-    from the state :func:`_search` kept at the weights it picked."""
-    if probe_steps < 1:
-        raise ValidationError(f"probe_steps must be >= 1, got {probe_steps}")
-    cfg = cfg or FcmConfig()
-    opt_cfg = replace(opt_cfg, bounds=WEIGHT_BOUNDS)
-    started = time.perf_counter()
-    ctx = build()
-    state, weights = _initial_state(ctx, clusters, cfg), fixed
-    if weights is None:
-        # the probe, holding the start and its terms, goes once the search ends
-        weights, state = _search(_probe(ctx, state.membership, state.centers, cfg,
-                                        params, probe_steps), minimize, opt_cfg)
-    tuned = replace(params, feature_weight=weights[0], spatial_weight=weights[1])
-    return _converge(ctx, state, tuned, cfg, started)
+    return _pipeline(lambda: _context(domain, params), None, cfg, params,
+                     (params.feature_weight, params.spatial_weight), init=init)
 
 
 def pso_ifcm(img, clusters: int, cfg: FcmConfig | None = None,
@@ -170,8 +166,8 @@ def pso_ifcm(img, clusters: int, cfg: FcmConfig | None = None,
     bypasses the search entirely and runs at the given weights.
     """
     params = params or AttractionParams()
-    return _tuned(lambda: _context(img, params), clusters, cfg, params,
-                  pso_minimize, pso or PsoConfig(), fixed, probe_steps)
+    return _pipeline(lambda: _context(img, params), clusters, cfg, params, fixed,
+                     (pso_minimize, pso or PsoConfig()), probe_steps=probe_steps)
 
 
 def ga_ifcm(img, clusters: int, cfg: FcmConfig | None = None,
@@ -181,8 +177,8 @@ def ga_ifcm(img, clusters: int, cfg: FcmConfig | None = None,
             probe_steps: int = 1) -> SegmentationResult:
     """Genetic-algorithm-tuned attraction clustering of a 2-D image."""
     params = params or AttractionParams()
-    return _tuned(lambda: _context(img, params), clusters, cfg, params,
-                  ga_minimize, ga or GaConfig(), fixed, probe_steps)
+    return _pipeline(lambda: _context(img, params), clusters, cfg, params, fixed,
+                     (ga_minimize, ga or GaConfig()), probe_steps=probe_steps)
 
 
 def pso_ifcm_3d(vol: Volume, ref: SliceRef, clusters: int,
@@ -196,9 +192,9 @@ def pso_ifcm_3d(vol: Volume, ref: SliceRef, clusters: int,
     neighbours through the shell table, reaching into adjacent slices of
     ``vol``; the returned labels cover just the addressed slice.
     """
-    params = AttractionParams(depth=depth, decay=decay)
-    return _tuned(lambda: slice_context(vol, ref, depth, decay), clusters, cfg,
-                  params, pso_minimize, pso or PsoConfig(), fixed, probe_steps)
+    return _pipeline(lambda: slice_context(vol, ref, depth, decay), clusters, cfg,
+                     AttractionParams(depth=depth, decay=decay), fixed,
+                     (pso_minimize, pso or PsoConfig()), probe_steps=probe_steps)
 
 
 def segment(algorithm: str, vol: Volume, ref: SliceRef, clusters: int,
@@ -211,24 +207,21 @@ def segment(algorithm: str, vol: Volume, ref: SliceRef, clusters: int,
     The single algorithm dispatch behind ``voxseg segment`` and the
     benchmark.  ``params`` holds the weights ``ifcm`` runs at, the 2-D
     level and the 3-D depth and decay; ``fixed`` skips the weight search
-    of the tuned algorithms.  Plain ``fcm`` reports no weights (None).
+    of the tuned algorithms.  ``ifcm`` runs as :func:`pso_ifcm` fixed at
+    ``params``' weights.  Plain ``fcm`` reports no weights (None).
     """
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    cfg = cfg or FcmConfig()
     params = params or AttractionParams()
     if algorithm == "3dpifcm":
         return pso_ifcm_3d(vol, ref, clusters, params.depth, params.decay, cfg,
                            pso, fixed, probe_steps)
-    ctx = plane_context(extract_slice(vol, ref), params.level)
-    if algorithm == "ifcmpso":
-        return pso_ifcm(ctx, clusters, cfg, params, pso, fixed, probe_steps)
+    img = extract_slice(vol, ref)
+    if algorithm == "fcm":
+        return _pipeline(lambda: _context(img, params), clusters, cfg, params,
+                         probe_steps=probe_steps)
     if algorithm == "gaifcm":
-        return ga_ifcm(ctx, clusters, cfg, params, ga, fixed, probe_steps)
-    started = time.perf_counter()
-    state = _initial_state(ctx, clusters, cfg)
+        return ga_ifcm(img, clusters, cfg, params, ga, fixed, probe_steps)
     if algorithm == "ifcm":
-        # the wall time covers the start, as it does for the other four
-        return replace(ifcm(ctx, params, state, cfg),
-                       wall_time=time.perf_counter() - started)
-    return _converge(ctx, state, None, cfg, started)
+        fixed = (params.feature_weight, params.spatial_weight)
+    return pso_ifcm(img, clusters, cfg, params, pso, fixed, probe_steps)

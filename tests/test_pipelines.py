@@ -201,6 +201,10 @@ def test_probe_steps_below_one_rejected(steps):
         ga_ifcm(sl, 4, probe_steps=steps)
     with pytest.raises(ValidationError, match="probe_steps"):
         pso_ifcm_3d(noisy, ref, 4, probe_steps=steps)
+    for algorithm in ALGORITHMS:
+        # one rule for all five, though fcm and fixed-weight ifcm never probe
+        with pytest.raises(ValidationError, match="probe_steps"):
+            segment(algorithm, noisy, ref, 4, probe_steps=steps)
 
 
 def test_segment_rejects_unknown_algorithm():
@@ -216,17 +220,22 @@ def test_segment_rejects_more_clusters_than_uint8_labels_carry():
 
 
 def test_wall_time_covers_the_start(monkeypatch):
-    def slow_start(*args):
-        time.sleep(0.2)
-        return _initial_state(*args)
+    # each algorithm's clock covers its context and its start: both are slowed
+    def slow(real):
+        def call(*args):
+            time.sleep(0.2)
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(pipelines, "_initial_state", slow_start)
+    for name, real in (("_initial_state", _initial_state), ("plane_context", plane_context),
+                       ("slice_context", slice_context)):
+        monkeypatch.setattr(pipelines, name, slow(real))
     noisy, _ = noisy_phantom(dims=(16, 16, 16))
     for algorithm in ALGORITHMS:
         res = segment(algorithm, noisy, SliceRef("z", 8), 2, FcmConfig(max_iterations=3),
                       AttractionParams(0.5, 0.5), PsoConfig(swarm_size=2, max_iter=1),
                       GaConfig(population=2, generations=1))
-        assert res.wall_time >= 0.2, algorithm
+        assert res.wall_time >= 0.4, algorithm
 
 
 def spearman(a, b):
@@ -275,6 +284,23 @@ def test_stop_reason_names_why_the_loop_ended():
     capped = segment("3dpifcm", noisy, ref, 4, FcmConfig(max_iterations=2), params,
                      fixed=(1.0, 1.0))
     assert (capped.iterations, capped.stop_reason) == (2, "cap")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("algorithm, spec", [("ifcmpso", "z:48"), ("3dpifcm", "x:0")])
+def test_labels_hold_when_the_cap_moves_by_one(algorithm, spec):
+    # acceptance protocol: a settled run ignores one more allowed step.  The
+    # Picard step does not settle at the searched weights, so today 3,511
+    # (ifcmpso, both runs "cycle") and 671 (3dpifcm, both "cap") of the
+    # 9,216 labels move
+    noisy, _ = noisy_phantom(dims=(96, 96, 96), percent=10.0)
+    params = AttractionParams(0.5, 0.5, level=2, depth=3, decay=1.5)
+    labels = [segment(algorithm, noisy, SliceRef.parse(spec), 4,
+                      FcmConfig(max_iterations=cap), params,
+                      PsoConfig(swarm_size=20, max_iter=10, seed=0),
+                      GaConfig(population=20, generations=10, seed=0)).labels
+              for cap in (150, 151)]
+    assert labels[0] == labels[1]
 
 
 @pytest.mark.parametrize("three_d", [False, True], ids=["2d", "3d"])
