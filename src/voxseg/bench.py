@@ -2,11 +2,17 @@
 
 A run builds (or loads) the ground-truth volume once and cuts the truth
 to the scored slice, which checks the slice before any cell runs; a sweep
-is one run over every grid point.  Each cell corrupts that volume at its
-noise level and seed, segments the slice, and scores the labels against
-the truth slice.  Rows come out in config order and all randomness is
-seeded per cell, so two runs of the same config, in one process or over a
-worker pool, produce identical reports except for wall-clock columns.
+is one run over every grid point.  The unit of work is one noise field:
+for each (kind, percent, seed) the run touches, :func:`prepare_field`
+corrupts the volume once and fits the GMM-seeded fuzzy c-means start of
+the slice once, and every cell on that field (each algorithm, and each
+grid point of an ``h`` or ``v`` sweep) segments from that shared start and
+scores the labels against the truth slice.  A cell's ``wall_time_ms`` is
+its field's noise-and-start time plus its own, so a row still reads as
+the cost of running that cell alone.  Rows come out in config order and
+all randomness is seeded per field and cell, so two runs of the same
+config, in one process or over a worker pool, produce identical reports
+except for wall-clock columns.
 The slice rule of every front end is :func:`resolve_slice` and :func:`cut_to_plane`.
 """
 
@@ -18,18 +24,19 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from voxseg.attraction import AttractionParams
 from voxseg.errors import UndefinedMetricError, ValidationError
-from voxseg.fcm import FcmConfig
+from voxseg.fcm import FcmConfig, FcmResult, gmm_fcm
 from voxseg.metrics import evaluate_labels, relative_improvement
 from voxseg.noise import NoiseSpec, add_noise
 from voxseg.optimize import GaConfig, PsoConfig
 from voxseg.phantom import PhantomSpec, generate_phantom
 from voxseg.pipelines import ALGORITHMS, segment
-from voxseg.volume import SliceRef, extract_slice, load_labels, load_volume
+from voxseg.volume import LabelVolume, SliceRef, Volume, extract_slice, load_labels, load_volume
 
 SCORE_COLUMNS = ("cluster", "UnS", "OS", "IncS")
 REPORT_COLUMNS = ("algorithm", "noise_kind", "noise_percent", "seed", *SCORE_COLUMNS,
@@ -116,12 +123,13 @@ class BenchConfig:
     def ga_config(self, seed: int) -> GaConfig:
         return self._build(GaConfig, seed=seed)
 
-    def segment(self, algorithm: str, vol, ref: SliceRef, seed: int, fixed=None):
+    def segment(self, algorithm: str, vol, ref: SliceRef, seed: int, fixed=None, start=None):
         """:func:`voxseg.pipelines.segment` of plane ``ref`` of ``vol`` at these settings,
-        both optimisers seeded with ``seed``; ``fixed`` weights skip the search."""
+        both optimisers seeded with ``seed``; ``fixed`` weights skip the search, and
+        ``start`` is the shared fit a benchmark field hands its cells."""
         return segment(algorithm, vol, ref, self.cluster_count, self.fcm_config(),
                        self.attraction_params(), self.pso_config(seed),
-                       self.ga_config(seed), fixed, self.probe_steps)
+                       self.ga_config(seed), fixed, self.probe_steps, start=start)
 
 
 def resolve_slice(spec: str, dims: tuple[int, int, int]) -> SliceRef:
@@ -167,19 +175,50 @@ def score_rows(scores: dict, per_cluster: bool = True) -> list[dict]:
             for cluster, uns, os, incs in lines]
 
 
-def run_cell(cfg: BenchConfig, source, algorithm: str, kind: str, percent: float,
-             seed: int) -> list[dict]:
-    """One matrix cell on ``source``, the run's (volume, slice, truth slice);
-    failures land in the status column, not the caller."""
+class Field(NamedTuple):
+    """One noise setting of a run's source, and what every cell on it shares."""
+    kind: str
+    percent: float
+    seed: int
+    noisy: Volume | None      # None when ``failure`` is set
+    ref: SliceRef
+    truth: LabelVolume        # cut to ``ref``
+    start: FcmResult | None   # the GMM-seeded fcm fit of the noisy slice
+    seconds: float            # time spent corrupting and fitting
+    failure: Exception | None
+
+
+def prepare_field(cfg: BenchConfig, source, kind: str, percent: float, seed: int) -> Field:
+    """``source``, the run's (volume, slice, truth slice), corrupted once at one noise
+    setting, with the start fitted once on its slice; a failure is kept for the cells."""
     vol, ref, truth = source
     started = time.perf_counter()
-    base = {"algorithm": algorithm, "noise_kind": kind, "noise_percent": _fmt(float(percent)),
-            "seed": seed, "lambda": "", "xi": "", "h": "", "v": "", "iterations": ""}
+    noisy = start = failure = None
     try:
         noisy = add_noise(vol, NoiseSpec(kind, percent, seed))
+        start = gmm_fcm(extract_slice(noisy, ref), cfg.cluster_count, cfg.fcm_config())
+        for shared in (start.membership, start.centers):
+            shared.flags.writeable = False   # a cell writing to them would leak into the next
+    except Exception as exc:  # every cell on the field records it
+        noisy, failure = None, exc
+    return Field(kind, percent, seed, noisy, ref, truth, start,
+                 time.perf_counter() - started, failure)
+
+
+def run_cell(cfg: BenchConfig, field: Field, algorithm: str) -> list[dict]:
+    """One matrix cell on ``field``; failures, the field's own too, land in the status
+    column, not the caller."""
+    started = time.perf_counter()
+    base = {"algorithm": algorithm, "noise_kind": field.kind,
+            "noise_percent": _fmt(float(field.percent)), "seed": field.seed,
+            "lambda": "", "xi": "", "h": "", "v": "", "iterations": ""}
+    try:
+        if field.failure is not None:
+            raise field.failure
         # the fixed weights reach ifcm only: the tuned algorithms search
-        result = cfg.segment(algorithm, noisy, ref, seed)
-        scores = evaluate_labels(result.labels, truth, cfg.cluster_count, cfg.literal_incs)
+        result = cfg.segment(algorithm, field.noisy, field.ref, field.seed, start=field.start)
+        scores = evaluate_labels(result.labels, field.truth, cfg.cluster_count,
+                                 cfg.literal_incs)
     except Exception as exc:  # keep the sweep alive; the row records why
         status, rows = f"error: {exc}", [dict.fromkeys(SCORE_COLUMNS, "")]
     else:
@@ -190,8 +229,16 @@ def run_cell(cfg: BenchConfig, source, algorithm: str, kind: str, percent: float
             info.update({"h": cfg.decay, "v": cfg.depth})
         base.update({k: _fmt(v) if isinstance(v, float) else v for k, v in info.items()})
         rows = score_rows(scores, cfg.per_cluster)
-    wall_time_ms = _fmt((time.perf_counter() - started) * 1000.0)
+    wall_time_ms = _fmt((field.seconds + time.perf_counter() - started) * 1000.0)
     return [dict(base, **row, wall_time_ms=wall_time_ms, status=status) for row in rows]
+
+
+def _run_field(cfg: BenchConfig, source, cells, kind: str, percent: float,
+               seed: int) -> list[list[dict]]:
+    """Rows of each (config, algorithm) cell in ``cells`` on one field of ``source``, fitted
+    at ``cfg``; the field is dropped on return, so a process holds one at a time."""
+    field = prepare_field(cfg, source, kind, percent, seed)
+    return [run_cell(point, field, algorithm) for point, algorithm in cells]
 
 
 _worker_source = None  # a pool worker's copy of the run's source, handed over once
@@ -202,32 +249,42 @@ def _share(source) -> None:
     _worker_source = source
 
 
-def _worker_cell(cfg: BenchConfig, *cell) -> list[dict]:
-    return run_cell(cfg, _worker_source, *cell)
+def _worker_field(cfg: BenchConfig, *job) -> list[list[dict]]:
+    return _run_field(cfg, _worker_source, *job)
 
 
 def _run(cfg: BenchConfig, points: list[BenchConfig], threads: int, log) -> list[list[dict]]:
-    """Report rows of each config in ``points``, all on the one source ``cfg`` builds: every
-    cell in config order, in this process or over one pool whose workers each get the source
-    once, logged as its rows arrive."""
+    """Report rows of each config in ``points``, which differ from ``cfg`` only in their
+    algorithms, noise settings and attraction geometry, all on the one source ``cfg`` builds.
+    Each (kind, percent, seed) any point touches is one field, prepared once for all its
+    cells; fields run in this process or over one pool whose workers each get the source
+    once, cells are logged as their field finishes, and rows come back in config order."""
     if int(threads) < 1:
         raise ValidationError("threads must be at least 1")
     source = _source(cfg)
-    cells = [(i, cell) for i, point in enumerate(points) for cell in product(
-        point.algorithms, point.noise_kinds, point.noise_percents, point.seeds)]
-    jobs = [(points[i], *cell) for i, cell in cells]
-    rows = [[] for _ in points]
+    cells = {}   # (kind, percent, seed) -> the (point index, algorithm) cells on that field
+    for i, point in enumerate(points):
+        for algorithm, *noise in product(point.algorithms, point.noise_kinds,
+                                         point.noise_percents, point.seeds):
+            cells.setdefault(tuple(noise), []).append((i, algorithm))
+    jobs = [(cfg, tuple((points[i], algorithm) for i, algorithm in on_field), *noise)
+            for noise, on_field in cells.items()]
+    done = {}
     with (ProcessPoolExecutor(int(threads), initializer=_share, initargs=(source,))
           if threads > 1 else nullcontext()) as pool:
-        groups = (pool.map(_worker_cell, *zip(*jobs)) if pool
-                  else (run_cell(point, source, *cell) for point, *cell in jobs))
-        for (i, (algorithm, kind, percent, seed)), group in zip(cells, groups):
-            if log is not None:
-                mean = next((r["IncS"] for r in group if r["cluster"] == "mean"), "")
-                log(f"{algorithm} {kind} {percent}% seed={seed} "
-                    f"IncS={mean or 'n/a'} [{group[-1]['status']}]")
-            rows[i].extend(group)
-    return rows
+        fields = (pool.map(_worker_field, *zip(*jobs)) if pool
+                  else (_run_field(cfg, source, *job[1:]) for job in jobs))
+        for (noise, on_field), groups in zip(cells.items(), fields):
+            for (i, algorithm), group in zip(on_field, groups):
+                if log is not None:
+                    kind, percent, seed = noise
+                    mean = next((r["IncS"] for r in group if r["cluster"] == "mean"), "")
+                    log(f"{algorithm} {kind} {percent}% seed={seed} "
+                        f"IncS={mean or 'n/a'} [{group[-1]['status']}]")
+                done[(i, algorithm, *noise)] = group
+    return [[row for cell in product(point.algorithms, point.noise_kinds,
+                                     point.noise_percents, point.seeds)
+             for row in done[(i, *cell)]] for i, point in enumerate(points)]
 
 
 def run_benchmark(cfg: BenchConfig, threads: int = 1,

@@ -36,7 +36,8 @@ class NoiseSpec:
 def _rng(seed: int) -> np.random.Generator:
     # every field is drawn whole, in one pass: a normal or Poisson draw uses a
     # variable number of Philox words, so part of a field cannot be regenerated
-    # on its own, and each bench cell must corrupt the whole volume
+    # on its own; the bench draws each (kind, percent, seed) field once, whole,
+    # and shares it among the cells on it
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 

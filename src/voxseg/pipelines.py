@@ -3,13 +3,15 @@
 All five algorithms run one body, four stages on one clock: build the
 neighbour context of the slice (in-plane in 2-D; shells into adjacent
 slices for ``3dpifcm``); take the start, a GMM-seeded fuzzy c-means fit or
-the state ``ifcm`` is given; take the weights, given (``ifcm``) or tuned by
-probing a few attraction steps from that start; then settle attraction
-steps with :func:`voxseg.fcm.settle`, fuzzy c-means' own loop.  Probe and
+a given one (``ifcm``'s ``init``, or the fit the benchmark hands
+:func:`segment` as ``start``), checked by one rule; take the weights, given
+(``ifcm``) or tuned by probing a few attraction steps from that start; then
+settle attraction steps with :func:`voxseg.fcm.settle`, fuzzy c-means' own loop.  Probe and
 loop run the same step, :func:`voxseg.attraction.ifcm_step`.
 Plain ``fcm`` takes no weights and skips that loop: its start is its answer.
-``wall_time`` covers all four stages.  Every result names why its loop
-stopped and takes its labels from :func:`voxseg.metrics.defuzzify`.
+``wall_time`` covers all four stages, though not the fit of a given start.
+Every result names why its loop stopped and takes its labels from
+:func:`voxseg.metrics.defuzzify`.
 :func:`segment` picks the algorithm by id for the CLI and the benchmark.
 """
 
@@ -58,19 +60,26 @@ def _initial_state(ctx, clusters: int, cfg: FcmConfig):
     return fcm(ctx.data, clusters, cfg, init_centers=centers0)
 
 
-def _given_start(ctx, init):
+def _given_start(ctx, init, clusters: int | None, whole: bool):
     """``init``, a (membership, centers) pair or an FcmResult, checked
-    against ``ctx`` and cast to float64."""
-    if isinstance(init, FcmResult):
-        init = (init.membership, init.centers)
-    if not isinstance(init, (tuple, list)) or len(init) != 2:
+    against ``ctx`` (one row per voxel) and ``clusters`` (one column each,
+    when given) and cast to float64.  ``whole`` (plain fcm, whose start is
+    its answer) needs the FcmResult, since a pair has no iterations to
+    report, and gets it back as it is."""
+    if whole and not isinstance(init, FcmResult):
+        raise ValidationError("plain fcm needs an FcmResult start: a bare pair has no "
+                              "iterations, cost or stop reason to report")
+    pair = (init.membership, init.centers) if isinstance(init, FcmResult) else init
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2:
         raise ValidationError("init must be a (membership, centers) pair or an FcmResult")
-    u = np.asarray(init[0], dtype=np.float64)
-    centers = np.asarray(init[1], dtype=np.float64).ravel()
+    u = np.asarray(pair[0], dtype=np.float64)
+    centers = np.asarray(pair[1], dtype=np.float64).ravel()
     if u.shape != (ctx.data.size, centers.size):
         raise ValidationError(f"init shapes {u.shape} / {centers.shape} do not "
                               f"match {ctx.data.size} voxels")
-    return u, centers
+    if clusters is not None and centers.size != clusters:
+        raise ValidationError(f"init holds {centers.size} clusters, expected {clusters}")
+    return init if whole else (u, centers)
 
 
 def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
@@ -113,7 +122,8 @@ def _search(propagate, minimize, opt_cfg):
 def _pipeline(build, clusters, cfg: FcmConfig | None, params: AttractionParams,
               weights=None, search=None, init=None, probe_steps: int = 1):
     """Every algorithm's four stages on one clock: ``build()`` the context;
-    take the start, a fit for ``clusters`` or, when that is None, ``init``;
+    take the start, ``init`` when given or when ``clusters`` is None, else a
+    fit for ``clusters``;
     take the weights, none (plain fcm), the given pair, or else ``search``'s
     (minimiser, config) pick over the probe of the start, from whose kept
     state the loop starts; settle at the weights and build the result."""
@@ -122,7 +132,8 @@ def _pipeline(build, clusters, cfg: FcmConfig | None, params: AttractionParams,
     cfg = cfg or FcmConfig()
     started = time.perf_counter()
     ctx = build()
-    state = _given_start(ctx, init) if clusters is None else _initial_state(ctx, clusters, cfg)
+    state = (_initial_state(ctx, clusters, cfg) if init is None and clusters is not None
+             else _given_start(ctx, init, clusters, weights is None and search is None))
     if weights is None and search is not None:
         # the probe, holding the start and its terms, goes once the search ends
         weights, state = _search(_probe(ctx, state[0], state[1], cfg, params, probe_steps),
@@ -158,34 +169,36 @@ def pso_ifcm(img, clusters: int, cfg: FcmConfig | None = None,
              params: AttractionParams | None = None,
              pso: PsoConfig | None = None,
              fixed: tuple[float, float] | None = None,
-             probe_steps: int = 1) -> SegmentationResult:
+             probe_steps: int = 1, *, init=None) -> SegmentationResult:
     """Swarm-tuned attraction clustering of a 2-D image.
 
     The swarm searches (feature_weight, spatial_weight) in [0, 1]^2 with
     the no-attraction point planted in the initial swarm; ``fixed``
-    bypasses the search entirely and runs at the given weights.
+    bypasses the search entirely and runs at the given weights.  ``init``,
+    a start as :func:`ifcm` takes it, replaces the GMM-seeded fit.
     """
     params = params or AttractionParams()
     return _pipeline(lambda: _context(img, params), clusters, cfg, params, fixed,
-                     (pso_minimize, pso or PsoConfig()), probe_steps=probe_steps)
+                     (pso_minimize, pso or PsoConfig()), init, probe_steps)
 
 
 def ga_ifcm(img, clusters: int, cfg: FcmConfig | None = None,
             params: AttractionParams | None = None,
             ga: GaConfig | None = None,
             fixed: tuple[float, float] | None = None,
-            probe_steps: int = 1) -> SegmentationResult:
-    """Genetic-algorithm-tuned attraction clustering of a 2-D image."""
+            probe_steps: int = 1, *, init=None) -> SegmentationResult:
+    """Genetic-algorithm-tuned attraction clustering of a 2-D image; ``init``
+    as in :func:`pso_ifcm`."""
     params = params or AttractionParams()
     return _pipeline(lambda: _context(img, params), clusters, cfg, params, fixed,
-                     (ga_minimize, ga or GaConfig()), probe_steps=probe_steps)
+                     (ga_minimize, ga or GaConfig()), init, probe_steps)
 
 
 def pso_ifcm_3d(vol: Volume, ref: SliceRef, clusters: int,
                 depth: int = AttractionParams.depth, decay: float = AttractionParams.decay,
                 cfg: FcmConfig | None = None, pso: PsoConfig | None = None,
                 fixed: tuple[float, float] | None = None,
-                probe_steps: int = 1) -> SegmentationResult:
+                probe_steps: int = 1, *, init=None) -> SegmentationResult:
     """Swarm-tuned clustering of one slice with 3-D shell neighbourhoods.
 
     Identical to :func:`pso_ifcm` except that attraction terms gather
@@ -194,14 +207,14 @@ def pso_ifcm_3d(vol: Volume, ref: SliceRef, clusters: int,
     """
     return _pipeline(lambda: slice_context(vol, ref, depth, decay), clusters, cfg,
                      AttractionParams(depth=depth, decay=decay), fixed,
-                     (pso_minimize, pso or PsoConfig()), probe_steps=probe_steps)
+                     (pso_minimize, pso or PsoConfig()), init, probe_steps)
 
 
 def segment(algorithm: str, vol: Volume, ref: SliceRef, clusters: int,
             cfg: FcmConfig | None = None, params: AttractionParams | None = None,
             pso: PsoConfig | None = None, ga: GaConfig | None = None,
             fixed: tuple[float, float] | None = None,
-            probe_steps: int = 1) -> SegmentationResult:
+            probe_steps: int = 1, *, start=None) -> SegmentationResult:
     """Segment slice ``ref`` of ``vol`` with one of :data:`ALGORITHMS`.
 
     The single algorithm dispatch behind ``voxseg segment`` and the
@@ -209,19 +222,23 @@ def segment(algorithm: str, vol: Volume, ref: SliceRef, clusters: int,
     level and the 3-D depth and decay; ``fixed`` skips the weight search
     of the tuned algorithms.  ``ifcm`` runs as :func:`pso_ifcm` fixed at
     ``params``' weights.  Plain ``fcm`` reports no weights (None).
+    ``start``, the :func:`voxseg.fcm.gmm_fcm` fit of the slice, replaces the
+    fit every algorithm would make (the 2-D and 3-D contexts of a slice hold
+    the same data), so the benchmark fits it once per noise field; plain
+    ``fcm`` returns it whole.
     """
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     params = params or AttractionParams()
     if algorithm == "3dpifcm":
         return pso_ifcm_3d(vol, ref, clusters, params.depth, params.decay, cfg,
-                           pso, fixed, probe_steps)
+                           pso, fixed, probe_steps, init=start)
     img = extract_slice(vol, ref)
     if algorithm == "fcm":
         return _pipeline(lambda: _context(img, params), clusters, cfg, params,
-                         probe_steps=probe_steps)
+                         init=start, probe_steps=probe_steps)
     if algorithm == "gaifcm":
-        return ga_ifcm(img, clusters, cfg, params, ga, fixed, probe_steps)
+        return ga_ifcm(img, clusters, cfg, params, ga, fixed, probe_steps, init=start)
     if algorithm == "ifcm":
         fixed = (params.feature_weight, params.spatial_weight)
-    return pso_ifcm(img, clusters, cfg, params, pso, fixed, probe_steps)
+    return pso_ifcm(img, clusters, cfg, params, pso, fixed, probe_steps, init=start)

@@ -10,8 +10,8 @@ from voxseg import bench
 from voxseg.attraction import AttractionParams
 from voxseg.bench import (ALGORITHMS, COMPARISON_COLUMNS, REPORT_COLUMNS,
                           SWEEP_COLUMNS, BenchConfig, comparison_rows,
-                          resolve_slice, run_benchmark, run_cell, run_sweep,
-                          write_csv)
+                          prepare_field, resolve_slice, run_benchmark, run_cell,
+                          run_sweep, write_csv)
 from voxseg.errors import ValidationError
 from voxseg.fcm import FcmConfig, gmm_fcm
 from voxseg.metrics import defuzzify, evaluate_labels, relative_improvement
@@ -29,9 +29,9 @@ def small_config(**overrides) -> BenchConfig:
     return BenchConfig(**base)
 
 
-def cell(cfg: BenchConfig, *args):
-    """``run_cell`` on the source a run of ``cfg`` builds."""
-    return run_cell(cfg, bench._source(cfg), *args)
+def cell(cfg: BenchConfig, algorithm: str, *noise):
+    """``run_cell`` on the field at ``noise`` of the source a run of ``cfg`` builds."""
+    return run_cell(cfg, prepare_field(cfg, bench._source(cfg), *noise), algorithm)
 
 
 def reference_scores(cfg: BenchConfig, kind: str, percent: float, seed: int):
@@ -230,7 +230,8 @@ class TestRunBenchmark:
         assert first_cmp == second_cmp
 
     def test_worker_processes_match_serial_run(self):
-        cfg = small_config(algorithms=("fcm",), seeds=(0, 1))
+        # each worker runs whole fields, so its cells share a field's start
+        cfg = small_config(algorithms=("fcm", "ifcm", "3dpifcm"), seeds=(0, 1))
         serial, _ = run_benchmark(cfg, threads=1)
         parallel, _ = run_benchmark(cfg, threads=2)
         assert strip_times(serial) == strip_times(parallel)
@@ -258,7 +259,8 @@ class TestRunBenchmark:
 
     def test_threaded_sweep_opens_one_pool(self, monkeypatch):
         # one pool for the whole grid; its workers get the source once, so
-        # each task carries only its config and cell
+        # each task carries only its configs and field: the run's config, the
+        # (config, algorithm) cells on the field, and its kind, percent and seed
         pools, sent = [], set()
 
         class Counted(bench.ProcessPoolExecutor):
@@ -275,7 +277,7 @@ class TestRunBenchmark:
         rows = run_sweep(small_config(), "percent", (5.0, 9.0, 12.0), "fcm", threads=2)
         assert len(rows) == 3 and all(row["mean_incs"] for row in rows)
         assert pools == [2]
-        assert sent == {"BenchConfig", "str", "float", "int"}
+        assert sent == {"BenchConfig", "tuple", "str", "float", "int"}
 
     def test_thread_count_validated(self):
         with pytest.raises(ValidationError):
@@ -302,6 +304,67 @@ class TestRunBenchmark:
         assert len(lines) == 2
         assert lines[0].startswith("fcm gaussian 5.0% seed=0 IncS=")
         assert lines[0].endswith("[ok]")
+
+
+def counted(monkeypatch, name, calls, fail=lambda *args: False):
+    """``bench.<name>`` counting its calls into ``calls``, raising where ``fail`` says."""
+    real = getattr(bench, name)
+
+    def call(*args):
+        calls.append(name)
+        if fail(*args):
+            raise RuntimeError(f"{name} failed")
+        return real(*args)
+
+    monkeypatch.setattr(bench, name, call)
+
+
+class TestSharedField:
+    def test_one_noise_draw_and_one_start_per_field(self, monkeypatch):
+        calls = []
+        for name in ("add_noise", "gmm_fcm"):
+            counted(monkeypatch, name, calls)
+        cfg = small_config(algorithms=("fcm", "ifcm", "ifcmpso", "gaifcm"), seeds=(0, 1),
+                           dims=(16, 16, 16))
+        rows, _ = run_benchmark(cfg)
+        assert [r["status"] for r in rows] == ["ok"] * 8
+        assert sorted(calls) == ["add_noise"] * 2 + ["gmm_fcm"] * 2
+        calls.clear()
+        rows = run_sweep(replace(cfg, depth=2), "h", (0.5, 1.0, 1.5), "3dpifcm")
+        assert all(row["mean_incs"] for row in rows)
+        assert sorted(calls) == ["add_noise"] * 2 + ["gmm_fcm"] * 2
+
+    def test_cells_match_their_own_noise_and_start(self):
+        # a cell on the shared field reports what segmenting the field alone does
+        cfg = small_config(algorithms=ALGORITHMS, dims=(16, 16, 16), depth=2)
+        rows, _ = run_benchmark(cfg)
+        vol, ref, truth = bench._source(cfg)
+        noisy = add_noise(vol, NoiseSpec("gaussian", 5.0, 0))
+        for algorithm, row in zip(ALGORITHMS, rows):
+            result = cfg.segment(algorithm, noisy, ref, 0)
+            scores = evaluate_labels(result.labels, truth, cfg.cluster_count)
+            assert row["IncS"] == format(scores["mean_incs"], ".10g"), algorithm
+            assert row["iterations"] == result.iterations, algorithm
+
+    def test_failed_start_fails_only_its_fields_rows(self, monkeypatch):
+        # the start fit raises on seed 1's field; seed 0's cells still run
+        calls, seeds = [], []
+        real_noise = bench.add_noise
+        monkeypatch.setattr(bench, "add_noise",
+                            lambda vol, spec: seeds.append(spec.seed) or real_noise(vol, spec))
+        counted(monkeypatch, "gmm_fcm", calls, fail=lambda *args: seeds[-1] == 1)
+        cfg = small_config(algorithms=("fcm", "ifcm", "3dpifcm"), seeds=(0, 1),
+                           dims=(16, 16, 16), depth=2)
+        rows, comparison = run_benchmark(cfg)
+        assert [(r["algorithm"], r["seed"]) for r in rows] == [
+            (algorithm, seed) for algorithm in cfg.algorithms for seed in (0, 1)]
+        for row in rows:
+            if row["seed"] == 1:
+                assert row["status"] == "error: gmm_fcm failed"
+                assert row["IncS"] == "" and row["wall_time_ms"] != ""
+            else:
+                assert row["status"] == "ok"
+        assert len(comparison) == 2 and len(calls) == 2
 
 
 class TestComparison:

@@ -207,6 +207,47 @@ def test_probe_steps_below_one_rejected(steps):
             segment(algorithm, noisy, ref, 4, probe_steps=steps)
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_given_start_is_the_start_segment_fits(algorithm):
+    # the benchmark hands every cell the slice's gmm_fcm fit; it must be the
+    # start the pipeline fits itself, in 2-D and through the 3-D context alike
+    noisy, _ = noisy_phantom(dims=(16, 16, 16), percent=10.0)
+    ref = SliceRef("z", 8)
+    settings = (4, CFG, AttractionParams(0.5, 0.5, depth=2), PsoConfig(swarm_size=4, max_iter=2),
+                GaConfig(population=4, generations=2))
+    start = gmm_fcm(extract_slice(noisy, ref), 4, CFG)
+    own = segment(algorithm, noisy, ref, *settings)
+    given = segment(algorithm, noisy, ref, *settings, start=start)
+    assert given.labels == own.labels
+    assert np.array_equal(given.membership, own.membership)
+    assert np.array_equal(given.centers, own.centers)
+    assert (given.iterations, given.feature_weight, given.spatial_weight, given.final_cost,
+            given.stop_reason) == (own.iterations, own.feature_weight, own.spatial_weight,
+                                   own.final_cost, own.stop_reason)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_given_start_checked_before_any_search(monkeypatch, algorithm):
+    # one rule for ifcm's init and segment's start: a row per voxel, a column
+    # per cluster, and plain fcm needs the whole FcmResult
+    monkeypatch.setattr(pipelines, "_probe", lambda *args: pytest.fail("a search ran"))
+    monkeypatch.setattr(pipelines, "settle", lambda *args: pytest.fail("a loop ran"))
+    noisy, _ = noisy_phantom(dims=(16, 16, 16))
+    ref = SliceRef("z", 8)
+    sl = extract_slice(noisy, ref)
+    three = gmm_fcm(sl, 3, CFG)
+    with pytest.raises(ValidationError, match="3 clusters, expected 4"):
+        segment(algorithm, noisy, ref, 4, start=three)
+    small, _ = noisy_phantom(dims=(12, 12, 12))
+    with pytest.raises(ValidationError, match="match 256 voxels"):
+        segment(algorithm, noisy, ref, 4,
+                start=gmm_fcm(extract_slice(small, SliceRef("z", 6)), 4, CFG))
+    pair = (three.membership, three.centers)
+    if algorithm == "fcm":
+        with pytest.raises(ValidationError, match="FcmResult"):
+            segment(algorithm, noisy, ref, 3, start=pair)
+
+
 def test_segment_rejects_unknown_algorithm():
     noisy, _ = noisy_phantom(dims=(16, 16, 16))
     with pytest.raises(ValidationError, match="unknown algorithm"):
