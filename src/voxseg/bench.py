@@ -40,7 +40,8 @@ from voxseg.volume import LabelVolume, SliceRef, Volume, extract_slice, load_lab
 
 SCORE_COLUMNS = ("cluster", "UnS", "OS", "IncS")
 REPORT_COLUMNS = ("algorithm", "noise_kind", "noise_percent", "seed", *SCORE_COLUMNS,
-                  "lambda", "xi", "h", "v", "iterations", "wall_time_ms", "status")
+                  "lambda", "xi", "h", "v", "iterations", "wall_time_ms", "status",
+                  "stop_reason")
 COMPARISON_COLUMNS = ("algorithm_a", "noise_kind", "noise_percent",
                       "mean_incs_a", "mean_incs_3dpifcm", "relative_improvement_pct")
 
@@ -211,7 +212,7 @@ def run_cell(cfg: BenchConfig, field: Field, algorithm: str) -> list[dict]:
     started = time.perf_counter()
     base = {"algorithm": algorithm, "noise_kind": field.kind,
             "noise_percent": _fmt(float(field.percent)), "seed": field.seed,
-            "lambda": "", "xi": "", "h": "", "v": "", "iterations": ""}
+            "lambda": "", "xi": "", "h": "", "v": "", "iterations": "", "stop_reason": ""}
     try:
         if field.failure is not None:
             raise field.failure
@@ -222,7 +223,7 @@ def run_cell(cfg: BenchConfig, field: Field, algorithm: str) -> list[dict]:
     except Exception as exc:  # keep the sweep alive; the row records why
         status, rows = f"error: {exc}", [dict.fromkeys(SCORE_COLUMNS, "")]
     else:
-        status, info = "ok", {"iterations": result.iterations}
+        status, info = "ok", {"iterations": result.iterations, "stop_reason": result.stop_reason}
         if result.feature_weight is not None:
             info.update({"lambda": result.feature_weight, "xi": result.spatial_weight})
         if algorithm == "3dpifcm":

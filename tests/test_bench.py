@@ -182,7 +182,8 @@ class TestRunCell:
         assert len(rows) == 1
         row = rows[0]
         assert row["status"].startswith("error:")
-        assert (row["cluster"], row["UnS"], row["OS"], row["IncS"]) == ("", "", "", "")
+        assert (row["cluster"], row["UnS"], row["OS"], row["IncS"], row["stop_reason"]) == \
+            ("", "", "", "", "")
         assert row["wall_time_ms"] != ""
 
     def test_external_volume_source(self, tmp_path):
@@ -345,6 +346,7 @@ class TestSharedField:
             scores = evaluate_labels(result.labels, truth, cfg.cluster_count)
             assert row["IncS"] == format(scores["mean_incs"], ".10g"), algorithm
             assert row["iterations"] == result.iterations, algorithm
+            assert row["stop_reason"] == result.stop_reason, algorithm
 
     def test_failed_start_fails_only_its_fields_rows(self, monkeypatch):
         # the start fit raises on seed 1's field; seed 0's cells still run

@@ -2,8 +2,12 @@
 
 import csv
 import re
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,7 +269,8 @@ def test_segment_scores_a_full_and_a_single_slice_truth_alike(assets, tmp_path, 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_segment_agrees_with_one_bench_cell(tmp_path, monkeypatch, algorithm):
     # both front ends dispatch through pipelines.segment; the same volume,
-    # slice, seed and optimiser budget must give the same labels and score
+    # slice, seed and optimiser budget must give the same labels and score,
+    # and eval must score the written labels to the same mean row
     dims = (16, 16, 16)
     vol, truth = generate_phantom(PhantomSpec(dims=dims, num_shells=2))
     noisy_path, truth_path = tmp_path / "noisy.vxf", tmp_path / "truth.vxf"
@@ -277,6 +282,10 @@ def test_segment_agrees_with_one_bench_cell(tmp_path, monkeypatch, algorithm):
                  "--population", "4", "--seed", "0", "--out", str(out),
                  "--truth", str(truth_path), "--metrics", str(metrics),
                  "--quiet"]) == 0
+    evaluated = tmp_path / "eval.csv"
+    assert main(["eval", "--pred", str(out), "--truth", str(truth_path), "--slice", "z:8",
+                 "--out", str(evaluated), "--quiet"]) == 0
+    assert read_csv(evaluated)[-1] == read_csv(metrics)[-1]
 
     real, cell_results = bench.segment, []
 
@@ -356,24 +365,36 @@ def test_eval_undefined_metric_is_runtime_failure(tmp_path, capsys):
 
 
 def test_bench_report_and_comparison(tmp_path):
-    report = tmp_path / "report.csv"
-    compare = tmp_path / "compare.csv"
-    code = main(["bench", "--algorithms", "fcm,3dpifcm", "--kinds", "gaussian",
-                 "--percents", "15", "--seeds", "0", "--dims", "16,16,16",
-                 "--shells", "2", "--swarm", "4", "--opt-iters", "2",
-                 "--report", str(report), "--compare", str(compare),
-                 "--quiet"])
-    assert code == 0
-    with open(report, newline="") as fh:
-        reader = csv.reader(fh)
-        assert tuple(next(reader)) == REPORT_COLUMNS
-    rows = read_csv(report)
-    assert [(r["algorithm"], r["status"]) for r in rows] == \
-        [("fcm", "ok"), ("3dpifcm", "ok")]
-    cmp_rows = read_csv(compare)
-    assert len(cmp_rows) == 1
-    assert tuple(cmp_rows[0]) == COMPARISON_COLUMNS
-    assert cmp_rows[0]["algorithm_a"] == "fcm"
+    # all five algorithms on two noise fields, run on the phantom and on the
+    # phantom written to disk, at one and two worker processes: every row is
+    # ok, each other algorithm has a comparison row, and the four reports are
+    # one report but for wall_time_ms
+    volume, truth = str(tmp_path / "vol.vxf"), str(tmp_path / "truth.vxf")
+    assert main(["phantom", "--out", volume, "--truth", truth, "--dims", "8,8,8",
+                 "--shells", "2", "--quiet"]) == 0
+    sources = {"phantom": ["--dims", "8,8,8", "--shells", "2"],
+               "volume": ["--volume", volume, "--truth", truth]}
+    reports, comparisons = [], []
+    for (source, flags), threads in product(sources.items(), ("1", "2")):
+        report, compare = (tmp_path / f"{name}-{source}{threads}.csv"
+                           for name in ("report", "compare"))
+        assert main(["bench", "--algorithms", ",".join(ALGORITHMS), *flags, "--c", "2",
+                     "--percents", "5", "--seeds", "0,1", "--swarm", "4", "--opt-iters", "2",
+                     "--population", "4", "--threads", threads, "--report", str(report),
+                     "--compare", str(compare), "--quiet"]) == 0
+        with open(report, newline="") as fh:
+            assert tuple(next(csv.reader(fh))) == REPORT_COLUMNS
+        rows = read_csv(report)
+        assert [(r["algorithm"], r["seed"], r["status"]) for r in rows] == [
+            (algorithm, seed, "ok") for algorithm in ALGORITHMS for seed in ("0", "1")]
+        cmp_rows = read_csv(compare)
+        assert tuple(cmp_rows[0]) == COMPARISON_COLUMNS
+        assert [r["algorithm_a"] for r in cmp_rows] == [
+            algorithm for algorithm in ALGORITHMS if algorithm != "3dpifcm"]
+        reports.append([{k: v for k, v in row.items() if k != "wall_time_ms"} for row in rows])
+        comparisons.append(compare.read_bytes())
+    assert all(other == reports[0] for other in reports)
+    assert all(other == comparisons[0] for other in comparisons)
 
 
 def test_bench_logs_progress(capsys):
@@ -385,15 +406,22 @@ def test_bench_logs_progress(capsys):
     assert "fcm gaussian 5.0% seed=0" in err
 
 
-@pytest.mark.parametrize("argv", [["bench", "--algorithms", "fcm", "--report"],
-                                  ["sweep", "--param", "h", "--grid", "1", "--out"]],
-                         ids=lambda argv: argv[0])
-def test_slice_off_the_phantom_fails_before_any_cell(tmp_path, monkeypatch, capsys, argv):
+OFF_THE_PHANTOM = "slice z:20 out of range for dims (8, 8, 8)"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["bench", "--algorithms", "fcm", "--slice", "z:20", "--report"], OFF_THE_PHANTOM),
+    (["sweep", "--param", "h", "--grid", "1", "--slice", "z:20", "--out"], OFF_THE_PHANTOM),
+    (["bench", "--algorithms", "fcm", "--c", "0", "--report"],
+     "cluster count must be >= 1, got 0"),
+    (["sweep", "--param", "v", "--grid", "2.5", "--out"], "v counts shells"),
+], ids=["bench-slice", "sweep-slice", "bench-clusters", "sweep-fractional-v"])
+def test_refused_setting_fails_before_any_cell(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.setattr(bench, "segment", lambda *args, **kwargs: pytest.fail("a cell ran"))
     out = tmp_path / "out.csv"
     assert main([*argv, str(out), "--dims", "8,8,8", "--shells", "2", "--percents", "5",
-                 "--seeds", "0", "--slice", "z:20", "--quiet"]) == 1
-    assert "slice z:20 out of range for dims (8, 8, 8)" in capsys.readouterr().err
+                 "--seeds", "0", "--quiet"]) == 1
+    assert error in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -412,15 +440,19 @@ def test_bench_truth_of_other_dims_fails_before_any_cell(assets, tmp_path, monke
 
 
 def test_sweep_csv(tmp_path):
-    out = tmp_path / "sweep.csv"
-    code = main(["sweep", "--param", "percent", "--grid", "5,9",
-                 "--algo", "fcm", "--seeds", "0", "--dims", "24,24,24",
-                 "--shells", "2", "--out", str(out), "--quiet"])
-    assert code == 0
-    rows = read_csv(out)
-    assert tuple(rows[0]) == SWEEP_COLUMNS
-    assert [r["value"] for r in rows] == ["5", "9"]
-    assert all(r["algorithm"] == "fcm" for r in rows)
+    # one row per grid value, and the same bytes at one and two worker processes
+    for param, grid, algorithm in (("percent", "5,9", "fcm"), ("h", "0.5,1", "3dpifcm")):
+        outs = [tmp_path / f"{param}{threads}.csv" for threads in ("1", "2")]
+        for threads, out in zip(("1", "2"), outs):
+            assert main(["sweep", "--param", param, "--grid", grid, "--algo", algorithm,
+                         "--seeds", "0,1", "--dims", "8,8,8", "--shells", "2", "--c", "2",
+                         "--swarm", "4", "--opt-iters", "2", "--population", "4",
+                         "--threads", threads, "--out", str(out), "--quiet"]) == 0
+        rows = read_csv(outs[0])
+        assert tuple(rows[0]) == SWEEP_COLUMNS
+        assert [r["value"] for r in rows] == grid.split(",")
+        assert all(r["algorithm"] == algorithm for r in rows)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_empty_sweep_grid_fails_before_the_source_is_built(tmp_path, monkeypatch, capsys):
@@ -541,11 +573,28 @@ def test_flag_defaults_are_bench_config_defaults(argv):
 
 
 @pytest.mark.parametrize("command, default", [
-    ("segment", "4"), ("bench", "one per --shells"), ("sweep", "one per --shells")])
-def test_cluster_count_help_names_its_default(command, default):
-    # bench and sweep run one cluster per phantom shell unless --c says otherwise
-    text = " ".join(cli.build_parser().commands[command].format_help().split())
-    assert f"number of clusters (default {default})" in text
+    ("segment", "4"), ("bench", "one per --shells"), ("sweep", "one per --shells"),
+    ("phantom", None), ("noise", None), ("eval", None)])
+def test_cluster_count_help_names_its_default(capsys, command, default):
+    # every subcommand's --help exits 0; those with the method flags name the
+    # defaults, and bench and sweep run one cluster per phantom shell unless
+    # --c says otherwise
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    if default is not None:
+        assert f"number of clusters (default {default})" in text
+        assert f"iteration cap (default {FcmConfig.max_iterations})" in text
+
+
+def test_console_script_is_cli_main():
+    # pyproject.toml is read as text: Python 3.10 has no tomllib
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^\[project\.scripts\]\nvoxseg = "voxseg\.cli:main"$', pyproject, re.M)
+    done = subprocess.run([sys.executable, "-m", "voxseg.cli", "phantom", "--help"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.startswith("usage: voxseg phantom")
 
 
 def bench_settings_from_config(monkeypatch, tmp_path, lines):

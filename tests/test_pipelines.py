@@ -344,6 +344,22 @@ def test_labels_hold_when_the_cap_moves_by_one(algorithm, spec):
     assert labels[0] == labels[1]
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_labels_hold_when_the_start_moves_by_one_ulp():
+    # acceptance protocol, x:0 3dpifcm: a settled run forgets a one-ulp
+    # nudge of its start's memberships.  Today 475 of the 9,216 labels move
+    # (z:48 and x:40 move none, so they pin nothing)
+    noisy, _ = noisy_phantom(dims=(96, 96, 96), percent=10.0)
+    ref = SliceRef("x", 0)
+    start = gmm_fcm(extract_slice(noisy, ref), 4, CFG)
+    nudged = start._replace(membership=np.nextafter(start.membership, 2.0))
+    labels = [segment("3dpifcm", noisy, ref, 4, CFG,
+                      AttractionParams(0.5, 0.5, level=2, depth=3, decay=1.5),
+                      PsoConfig(swarm_size=20, max_iter=10, seed=0), start=given).labels
+              for given in (start, nudged)]
+    assert labels[0] == labels[1]
+
+
 @pytest.mark.parametrize("three_d", [False, True], ids=["2d", "3d"])
 def test_probe_cost_never_rises_with_either_weight(three_d):
     # with one probe step the cost is J_m at the optimal memberships for
