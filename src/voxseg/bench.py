@@ -100,7 +100,7 @@ class BenchConfig:
         for kind, percent, seed in product(self.noise_kinds, self.noise_percents, self.seeds):
             NoiseSpec(kind, percent, seed)
         if self.volume_path is None:
-            PhantomSpec(self.dims, self.shells)  # the phantom's own shape checks
+            self.phantom_spec()  # the phantom's own shape checks
             resolve_slice(self.slice_spec, self.dims).plane_dims(self.dims)
 
     @property
@@ -111,6 +111,9 @@ class BenchConfig:
         """``component`` from this config's fields of the same names, plus ``extra``."""
         return component(**{f.name: vars(self)[f.name] for f in fields(component)
                             if f.name in vars(self)}, **extra)
+
+    def phantom_spec(self) -> PhantomSpec:
+        return self._build(PhantomSpec, num_shells=self.shells)
 
     def fcm_config(self) -> FcmConfig:
         return self._build(FcmConfig)
@@ -157,7 +160,7 @@ def _source(cfg: BenchConfig):
     if cfg.volume_path is not None:
         vol, truth = load_volume(cfg.volume_path), load_labels(cfg.truth_path)
     else:
-        vol, truth = generate_phantom(PhantomSpec(dims=cfg.dims, num_shells=cfg.shells))
+        vol, truth = generate_phantom(cfg.phantom_spec())
     ref = resolve_slice(cfg.slice_spec, vol.dims)
     return vol, ref, cut_to_plane(truth, ref, vol.dims)
 
@@ -258,8 +261,9 @@ def _run(cfg: BenchConfig, points: list[BenchConfig], threads: int, log) -> list
     """Report rows of each config in ``points``, which differ from ``cfg`` only in their
     algorithms, noise settings and attraction geometry, all on the one source ``cfg`` builds.
     Each (kind, percent, seed) any point touches is one field, prepared once for all its
-    cells; fields run in this process or over one pool whose workers each get the source
-    once, cells are logged as their field finishes, and rows come back in config order."""
+    cells; fields run in this process, or over one pool of at most one worker per field,
+    each handed the source once.  Cells are logged as their field finishes, and rows
+    come back in config order."""
     if int(threads) < 1:
         raise ValidationError("threads must be at least 1")
     source = _source(cfg)
@@ -270,9 +274,9 @@ def _run(cfg: BenchConfig, points: list[BenchConfig], threads: int, log) -> list
             cells.setdefault(tuple(noise), []).append((i, algorithm))
     jobs = [(cfg, tuple((points[i], algorithm) for i, algorithm in on_field), *noise)
             for noise, on_field in cells.items()]
-    done = {}
-    with (ProcessPoolExecutor(int(threads), initializer=_share, initargs=(source,))
-          if threads > 1 else nullcontext()) as pool:
+    done, workers = {}, min(int(threads), len(jobs))
+    with (ProcessPoolExecutor(workers, initializer=_share, initargs=(source,))
+          if workers > 1 else nullcontext()) as pool:
         fields = (pool.map(_worker_field, *zip(*jobs)) if pool
                   else (_run_field(cfg, source, *job[1:]) for job in jobs))
         for (noise, on_field), groups in zip(cells.items(), fields):

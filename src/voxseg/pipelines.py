@@ -6,8 +6,9 @@ slices for ``3dpifcm``); take the start, a GMM-seeded fuzzy c-means fit or
 a given one (``ifcm``'s ``init``, or the fit the benchmark hands
 :func:`segment` as ``start``), checked by one rule; take the weights, given
 (``ifcm``) or tuned by probing a few attraction steps from that start; then
-settle attraction steps with :func:`voxseg.fcm.settle`, fuzzy c-means' own loop.  Probe and
-loop run the same step, :func:`voxseg.attraction.ifcm_step`.
+settle attraction steps with :func:`voxseg.fcm.settle`, fuzzy c-means' own loop,
+from that start, or from the probe re-run at the minimiser's pick when tuned.  Probe
+and loop run the same step, :func:`voxseg.attraction.ifcm_step`.
 Plain ``fcm`` takes no weights and skips that loop: its start is its answer.
 ``wall_time`` covers all four stages, though not the fit of a given start.
 Every result names why its loop stopped and takes its labels from
@@ -103,20 +104,10 @@ def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
 
 
 def _search(propagate, minimize, opt_cfg):
-    """Weights ``minimize`` picks over the probe ``propagate``, the no-attraction point planted,
-    and the state kept from the first strictly lowest candidate: the minimisers' tie rule."""
-    kept = [np.inf, None, None]     # cost, weights, (u, centers)
-
-    def objective(pos):
-        u, centers, cost = propagate(pos[0], pos[1])
-        if cost < kept[0]:
-            kept[:] = cost, (float(pos[0]), float(pos[1])), (u, centers)
-        return cost
-
-    best = minimize(objective, opt_cfg, seed_points=[(0.0, 0.0)])
-    if kept[1] != tuple(best.position.tolist()):
-        raise RuntimeError(f"the probe kept {kept[1]}, the search chose {best.position}")
-    return kept[1], kept[2]
+    """The weights ``minimize`` picks over the probe ``propagate``, the no-attraction
+    point planted, and the state the probe reaches there, which the loop starts from."""
+    position = minimize(lambda p: propagate(*p)[2], opt_cfg, seed_points=[(0.0, 0.0)]).position
+    return position, propagate(*position)[:2]
 
 
 def _pipeline(build, clusters, cfg: FcmConfig | None, params: AttractionParams,
@@ -125,8 +116,8 @@ def _pipeline(build, clusters, cfg: FcmConfig | None, params: AttractionParams,
     take the start, ``init`` when given or when ``clusters`` is None, else a
     fit for ``clusters``;
     take the weights, none (plain fcm), the given pair, or else ``search``'s
-    (minimiser, config) pick over the probe of the start, from whose kept
-    state the loop starts; settle at the weights and build the result."""
+    (minimiser, config) pick over the probe of the start; settle at the
+    weights, from the probe re-run at a searched pick, and build the result."""
     if probe_steps < 1:
         raise ValidationError(f"probe_steps must be >= 1, got {probe_steps}")
     cfg = cfg or FcmConfig()

@@ -240,6 +240,25 @@ class TestRunBenchmark:
                  for threads in (1, 2)]
         assert sweep[0] == sweep[1]
 
+    def test_pool_opens_no_more_workers_than_fields(self, monkeypatch):
+        # a worker past the field count would be forked and handed the source
+        # for nothing, so one field runs in this process and two get two workers
+        cfg = small_config(algorithms=("fcm", "3dpifcm"))
+        serial, serial_cmp = run_benchmark(cfg, threads=1)
+        pools = []
+
+        class Counted(bench.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", Counted)
+        threaded, threaded_cmp = run_benchmark(cfg, threads=2)
+        assert pools == []
+        assert strip_times(threaded) == strip_times(serial) and threaded_cmp == serial_cmp
+        run_benchmark(replace(cfg, algorithms=("fcm",), seeds=(0, 1)), threads=3)
+        assert pools == [2]
+
     @pytest.mark.parametrize("source", ["phantom", "volume"])
     def test_source_built_once_per_run(self, tmp_path, monkeypatch, source):
         # every cell, and every sweep grid point, shares the one build

@@ -5,7 +5,8 @@ its intensities and ``intensity_max`` together must carry the labels
 along and change nothing else.  The pins need no truth and no recorded
 hashes, so they hold across a change that moves the bits.  They compare
 labels and stop reasons, and under scaling the iteration counts; never
-memberships or centres, whose last bits a relation may move.
+memberships or centres, whose last bits a relation may move.  One mirror
+runs at the acceptance protocol's size, where it also pins the weights.
 """
 
 import numpy as np
@@ -23,16 +24,16 @@ REF = SliceRef("z", 16)
 PARAMS = AttractionParams(0.5, 0.5, level=2, depth=3, decay=1.5)
 
 
-def run(algorithm, vol, ref=REF):
+def run(algorithm, vol, ref=REF, size=10, rounds=5):
     return segment(algorithm, vol, ref, 4, FcmConfig(), PARAMS,
-                   PsoConfig(swarm_size=10, max_iter=5, seed=0),
-                   GaConfig(population=10, generations=5, seed=0))
+                   PsoConfig(swarm_size=size, max_iter=rounds, seed=0),
+                   GaConfig(population=size, generations=rounds, seed=0))
 
 
-def mirror(axis):
+def mirror(axis, at=REF):
     def relation(vol):
         # a z mirror moves plane 16 of 32 to plane 15; the labels lie in one plane
-        ref = SliceRef("z", vol.dims[2] - 1 - REF.index) if axis == 2 else REF
+        ref = SliceRef("z", vol.dims[2] - 1 - at.index) if axis == 2 else at
         return (Volume(vol.dims, np.flip(vol.data, axis), vol.intensity_max), ref,
                 lambda a: np.flip(a, axis))
     return relation
@@ -55,10 +56,19 @@ RELATIONS = {"mirror-x": mirror(0), "mirror-y": mirror(1), "mirror-z": mirror(2)
              "scale-2": scale(2), "scale-3": scale(3), "swap-xy": swap_xy}
 
 
+def noisy_phantom(size):
+    vol, _ = generate_phantom(PhantomSpec(dims=(size, size, size), num_shells=4))
+    return add_noise(vol, NoiseSpec("gaussian", 10.0, 0))
+
+
 @pytest.fixture(scope="module")
 def noisy():
-    vol, _ = generate_phantom(PhantomSpec(dims=(32, 32, 32), num_shells=4))
-    return add_noise(vol, NoiseSpec("gaussian", 10.0, 0))
+    return noisy_phantom(32)
+
+
+@pytest.fixture(scope="module")
+def acceptance_noisy():
+    return noisy_phantom(96)
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +86,14 @@ def test_labels_follow_the_volume(noisy, plain, name, algorithm):
     assert after.stop_reason == before.stop_reason
     if name.startswith("scale"):
         assert after.iterations == before.iterations
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_acceptance_size_mirror(acceptance_noisy, algorithm):
+    # the acceptance protocol: 96^3, z:48, swarm and population 20 x 10
+    moved, ref, back = mirror(0, SliceRef("z", 48))(acceptance_noisy)
+    before, after = (run(algorithm, vol, ref, 20, 10) for vol in (acceptance_noisy, moved))
+    assert np.array_equal(back(after.labels.labels), before.labels.labels)
+    assert after.stop_reason == before.stop_reason
+    assert ((after.feature_weight, after.spatial_weight)
+            == (before.feature_weight, before.spatial_weight))

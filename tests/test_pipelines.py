@@ -380,8 +380,8 @@ def test_probe_cost_never_rises_with_either_weight(three_d):
 
 @pytest.mark.parametrize("steps", [1, 3])
 def test_tuned_segment_converges_from_the_winning_probe(monkeypatch, steps):
-    # the loop starts from the state the probe reached at the winning
-    # weights, kept during the search, so no probe step runs twice
+    # the loop starts from the probe re-run at the minimiser's pick: one
+    # probe beyond the search's evaluations, then the loop's iterations
     counts = {"steps": 0, "evaluations": 0}
 
     def counted(name, real):
@@ -399,7 +399,7 @@ def test_tuned_segment_converges_from_the_winning_probe(monkeypatch, steps):
     ref = SliceRef("z", 12)
     res = pso_ifcm_3d(noisy, ref, 4, pso=PsoConfig(swarm_size=5, max_iter=2, seed=1),
                       probe_steps=steps)
-    assert counts["steps"] == counts["evaluations"] * steps + res.iterations
+    assert counts["steps"] == (counts["evaluations"] + 1) * steps + res.iterations
     monkeypatch.undo()
     # the same bits as probing the winner again and converging from there
     ctx = slice_context(noisy, ref, 3, 1.1)
@@ -413,16 +413,24 @@ def test_tuned_segment_converges_from_the_winning_probe(monkeypatch, steps):
     assert res.iterations == again.iterations
 
 
-def test_search_that_strays_from_its_evaluations_fails(monkeypatch):
-    # the kept state must belong to the position the minimiser returns
+def test_minimiser_pick_is_taken_though_never_evaluated(monkeypatch):
+    # the minimiser owns the pick: the loop starts from the probe re-run
+    # there, whether or not the search evaluated that position
     def stray(func, cfg, seed_points=()):
         value = func(np.zeros(2))
         return OptResult(np.array([0.5, 0.5]), value, np.array([value]))
 
     monkeypatch.setattr(pipelines, "pso_minimize", stray)
     noisy, _ = noisy_phantom(dims=(16, 16, 16))
-    with pytest.raises(RuntimeError, match="search chose"):
-        pso_ifcm_3d(noisy, SliceRef("z", 8), 2)
+    ref = SliceRef("z", 8)
+    res = pso_ifcm_3d(noisy, ref, 2)
+    assert (res.feature_weight, res.spatial_weight) == (0.5, 0.5)
+    ctx = slice_context(noisy, ref, 3, 1.1)
+    start = _initial_state(ctx, 2, CFG)
+    probed = _probe(ctx, start.membership, start.centers, CFG, AttractionParams(), 1)(0.5, 0.5)
+    again = ifcm(ctx, AttractionParams(0.5, 0.5), probed[:2])
+    assert np.array_equal(res.labels.labels, again.labels.labels)
+    assert (res.stop_reason, res.iterations) == (again.stop_reason, again.iterations)
 
 
 @pytest.mark.parametrize("three_d", [False, True], ids=["2d", "3d"])
