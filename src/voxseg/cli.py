@@ -276,8 +276,6 @@ def _load_input(loader, path):
     # unreadable or truncated inputs are the caller's mistake, exit code 1
     try:
         return loader(path)
-    except FileNotFoundError:
-        raise
     except OSError as exc:
         raise ValidationError(str(exc)) from None
 

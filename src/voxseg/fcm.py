@@ -1,12 +1,13 @@
 """Fuzzy c-means clustering on 1-D intensity data.
 
-The solver alternates the closed-form membership update with the
-weighted-mean center update in :func:`settle`, the one loop that runs a
-Picard step until the memberships move less than ``tolerance`` in the max
-norm and names why it stopped; the attraction pipelines hand it their
-step.  Centers are kept in canonical ascending order throughout, with
-membership columns permuted alongside, so cluster k always means "k-th
-darkest".
+A fit starts from the centers it is given, one per cluster; the pipelines
+seed them with :func:`gmm_init`, as :func:`gmm_fcm` does.  The solver
+alternates the closed-form membership update with the weighted-mean center
+update in :func:`settle`, the one loop that runs a Picard step until the
+memberships move less than ``tolerance`` in the max norm and names why it
+stopped; the attraction pipelines hand it their step.  Centers are kept in
+canonical ascending order throughout, with membership columns permuted
+alongside, so cluster k always means "k-th darkest".
 
 Memberships take u_ij proportional to (dmin_i / d2_ij)^(1/(m-1)), with
 dmin_i the row's smallest squared distance, so every ratio lies in (0, 1]
@@ -215,21 +216,18 @@ def gmm_init(data: np.ndarray, c: int, scale: float | None = None) -> np.ndarray
     return np.sort(mu)
 
 
-def fcm(data: np.ndarray, c: int, cfg: FcmConfig,
-        init_centers: np.ndarray | None = None, seed: int = 0) -> FcmResult:
-    """Fuzzy c-means on a flat data vector.
+def fcm(data: np.ndarray, centers: np.ndarray, cfg: FcmConfig) -> FcmResult:
+    """Fuzzy c-means on a flat data vector, started from ``centers``.
 
     Parameters
     ----------
     data : array_like
         1-D intensities (any shape is flattened).
-    c : int
-        Number of clusters, 1 <= c <= len(data).
+    centers : array_like
+        Starting centers, a 1-D array of 1 to len(data) values, one per
+        cluster; they are sorted before use.
     cfg : FcmConfig
         Fuzziness, stop tolerance, iteration cap.
-    init_centers : array_like, optional
-        Starting centers; when omitted, ``c`` distinct data values are
-        drawn with the seeded generator.
 
     Returns
     -------
@@ -240,20 +238,11 @@ def fcm(data: np.ndarray, c: int, cfg: FcmConfig,
         update is a no-op.
     """
     data = np.asarray(data, dtype=np.float64).ravel()
-    c = int(c)
-    if not 1 <= c <= data.size:
-        raise ValidationError(f"cluster count {c} invalid for {data.size} points")
-    if init_centers is None:
-        values = np.unique(data)
-        if values.size < c:
-            raise ValidationError(
-                f"need at least {c} distinct values for random init")
-        rng = np.random.default_rng(seed)
-        centers = np.sort(rng.choice(values, size=c, replace=False))
-    else:
-        centers = np.sort(np.asarray(init_centers, dtype=np.float64).ravel())
-        if centers.size != c:
-            raise ValidationError(f"expected {c} centers, got {centers.size}")
+    centers = np.asarray(centers, dtype=np.float64)
+    if centers.ndim != 1 or not 1 <= centers.size <= data.size:
+        raise ValidationError(f"need a 1-D array of 1 to {data.size} centers, "
+                              f"got shape {centers.shape}")
+    centers = np.sort(centers)
 
     def step(u, centers):
         centers, _, order = update_centers(u, data, cfg.fuzziness)
@@ -299,5 +288,4 @@ def settle(step, u: np.ndarray, centers: np.ndarray, cfg: FcmConfig) -> FcmResul
 def gmm_fcm(v: Volume, c: int, cfg: FcmConfig) -> FcmResult:
     """Fuzzy c-means seeded from the Gaussian-mixture fit; deterministic."""
     data = v.flat().astype(np.float64)
-    centers = gmm_init(data, c, scale=v.intensity_max)
-    return fcm(data, c, cfg, init_centers=centers)
+    return fcm(data, gmm_init(data, c, scale=v.intensity_max), cfg)

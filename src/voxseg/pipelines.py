@@ -57,8 +57,7 @@ def _context(domain, params: AttractionParams):
 
 
 def _initial_state(ctx, clusters: int, cfg: FcmConfig):
-    centers0 = gmm_init(ctx.data, clusters, scale=ctx.intensity_max)
-    return fcm(ctx.data, clusters, cfg, init_centers=centers0)
+    return fcm(ctx.data, gmm_init(ctx.data, clusters, scale=ctx.intensity_max), cfg)
 
 
 def _given_start(ctx, init, clusters: int | None, whole: bool):

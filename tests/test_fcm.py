@@ -171,15 +171,14 @@ def test_check_membership():
 
 
 def test_fcm_separable_pairs():
-    res = fcm(np.array([0.0, 0.0, 10.0, 10.0]), 2, FcmConfig(),
-              init_centers=np.array([2.0, 8.0]))
+    res = fcm(np.array([0.0, 0.0, 10.0, 10.0]), np.array([2.0, 8.0]), FcmConfig())
     assert np.allclose(res.centers, [0.0, 10.0], atol=1e-6)
     assert res.membership[0, 0] > 0.99 and res.membership[2, 1] > 0.99
 
 
 def test_fcm_single_cluster():
     data = np.array([1.0, 2.0, 3.0, 4.0])
-    res = fcm(data, 1, FcmConfig())
+    res = fcm(data, np.array([10.0]), FcmConfig())
     assert np.array_equal(res.membership, np.ones((4, 1)))
     assert np.allclose(res.centers, [data.mean()])
 
@@ -230,7 +229,7 @@ def test_fcm_matches_reference_iteration():
     data = img.ravel(order="F")
     init = np.array([30.0, 90.0])
     cfg = FcmConfig()
-    res = fcm(data, 2, cfg, init_centers=init)
+    res = fcm(data, init, cfg)
     ref_u, ref_centers, ref_iter = reference_fcm(
         data, init, cfg.fuzziness, cfg.tolerance, cfg.max_iterations)
     assert res.iterations == ref_iter
@@ -258,15 +257,15 @@ def test_fcm_monotone_descent():
 
 def test_fcm_near_crisp_at_low_fuzziness():
     data = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 10.0, 10.0, 10.0, 11.0])
-    res = fcm(data, 2, FcmConfig(fuzziness=1.01),
-              init_centers=np.array([1.0, 9.0]))
+    res = fcm(data, np.array([1.0, 9.0]), FcmConfig(fuzziness=1.01))
     assert res.membership.max(axis=1).min() >= 0.999
 
 
 def test_fcm_iteration_cap():
     rng = np.random.default_rng(9)
     data = rng.uniform(0, 100, size=50)
-    res = fcm(data, 3, FcmConfig(tolerance=1e-12, max_iterations=2))
+    res = fcm(data, np.array([10.0, 50.0, 90.0]),
+              FcmConfig(tolerance=1e-12, max_iterations=2))
     assert (res.iterations, res.stop_reason) == (2, "cap")
 
 
@@ -305,22 +304,27 @@ def test_fcm_shuffle_invariance():
     perm = rng.permutation(60)
     cfg = FcmConfig()
     init = np.array([20.0, 70.0])
-    a = fcm(data, 2, cfg, init_centers=init)
-    b = fcm(data[perm], 2, cfg, init_centers=init)
+    a = fcm(data, init, cfg)
+    b = fcm(data[perm], init, cfg)
     assert np.allclose(a.centers, b.centers, atol=1e-12)
     assert np.allclose(a.membership[perm], b.membership, atol=1e-12)
     # descending init is sorted before use
-    c = fcm(data, 2, cfg, init_centers=init[::-1])
+    c = fcm(data, init[::-1], cfg)
     assert np.allclose(a.membership, c.membership, atol=1e-12)
 
 
 def test_fcm_validation():
+    with pytest.raises(ValidationError):  # more centres than points
+        fcm(np.array([1.0, 2.0]), np.array([0.0, 1.0, 2.0]), FcmConfig())
     with pytest.raises(ValidationError):
-        fcm(np.array([1.0, 2.0]), 3, FcmConfig())
+        fcm(np.array([1.0, 2.0]), np.array([]), FcmConfig())
     with pytest.raises(ValidationError):
-        fcm(np.array([1.0, 2.0, 3.0]), 2, FcmConfig(), init_centers=np.array([1.0]))
-    with pytest.raises(ValidationError):
-        fcm(np.array([5.0, 5.0, 5.0]), 2, FcmConfig())  # too few distinct values
+        fcm(np.array([1.0, 2.0, 3.0]), np.array([[1.0, 3.0]]), FcmConfig())
+    # a bare cluster count in the centres slot would start a one-centre fit
+    # at that intensity; it is refused instead
+    for count in (1, 3, np.int64(2)):
+        with pytest.raises(ValidationError):
+            fcm(np.array([1.0, 2.0, 8.0, 9.0]), count, FcmConfig())
     with pytest.raises(ValidationError):
         FcmConfig(fuzziness=1.0)
     with pytest.raises(ValidationError):

@@ -1,4 +1,4 @@
-"""Print the 15 acceptance rows: five algorithms on three slices.
+"""Print the 25 acceptance rows: five algorithms on five slices.
 
 Run from the repository root::
 
@@ -6,11 +6,13 @@ Run from the repository root::
 
 The protocol is the acceptance one: the 96^3 four-shell phantom with 10 %
 gaussian noise (seed 0), 4 clusters, ``AttractionParams(0.5, 0.5, 2, 3,
-1.5)``, swarm and GA population 20 x 10 (seed 0), on z:48, x:0 and y:95.
-Each row is ``slice algorithm labels/membership/centres iterations weights
-final_cost stop_reason``, where the three hashes are the first 16 hex digits
-of the sha256 of each array's bytes and ``final_cost`` is its ``repr``.  A
-change that should leave the results alone must print the same rows.
+1.5)``, swarm and GA population 20 x 10 (seed 0), on z:48, x:0, y:95, x:40
+and y:55.  x:0 and y:95 are faces that hold one label; x:40 and y:55 hold
+all four.  Each row is ``slice algorithm labels/membership/centres
+iterations weights final_cost stop_reason``, where the three hashes are the
+first 16 hex digits of the sha256 of each array's bytes and ``final_cost``
+is its ``repr``.  A change that should leave the results alone must print
+the same rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from voxseg.phantom import PhantomSpec, generate_phantom  # noqa: E402
 from voxseg.pipelines import ALGORITHMS, segment  # noqa: E402
 from voxseg.volume import SliceRef  # noqa: E402
 
-SLICES = ("z:48", "x:0", "y:95")
+SLICES = ("z:48", "x:0", "y:95", "x:40", "y:55")
 
 
 def digest(array) -> str:
