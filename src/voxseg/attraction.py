@@ -24,6 +24,7 @@ and the converge loop of :mod:`voxseg.pipelines` both run.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,10 +165,16 @@ class NeighbourContext:
     (1.0 or 0.0, so exact).
 
     :meth:`attraction_terms` writes the memberships into padded buffers of
-    the same layout, one (c, NX*(ny + 2r)) array per plane, and gathers the
-    votes in bands of at most ``_BAND`` positions, so the working set stays in
-    cache: per band it squares each plane's membership window once and
-    reuses the squares for every offset into that plane.
+    the same layout, one cluster-major (c, NX*(ny + 2r)) array per plane,
+    and gathers the votes in bands of at most ``_BAND`` positions, so the
+    working set stays in cache: per band it squares each plane's membership
+    window once and reuses the squares for every offset into that plane.
+    The buffers live as long as the context: they are made at the first
+    call for a cluster count, and each call rewrites only their interiors,
+    so one context serves one call at a time.
+    A shell whose offsets share one power-of-two q^2 (of the 3-D shells,
+    only the second, at q^2 = 4) votes plain squares against its proximity
+    denominator divided by that q^2, which is exact.
     """
 
     def __init__(self, planes: np.ndarray, z: int, shells, weights,
@@ -179,6 +186,7 @@ class NeighbourContext:
         self.label_dims = label_dims
         self.intensity_max = intensity_max
         self._z = z
+        self._members = None  # the padded membership buffers, per plane
         self._pad = pad = int(np.abs(self.offsets[:, :2]).max())
         self._row = row = nx + 2 * pad
         # the largest shift; flat positions [reach, size - reach) hold every voxel
@@ -202,27 +210,39 @@ class NeighbourContext:
                 contrast_sum += np.abs(centre - self._planes[z + dz][shifted]) * inside[shifted]
                 prox_sum += q2 * inside[shifted]
                 entries.append((s, z + dz, q2))
+            weight_present += w * (prox_sum > 0)  # q^2 > 0: the shell reaches here
+            if not entries:  # clipped away: its votes would add exact zeros
+                continue
+            scale = entries[0][2]
+            if all(q2 == scale for *_, q2 in entries) and np.frexp(scale)[0] == 0.5:
+                # one power-of-two q^2: scaling by it commutes with rounding
+                entries = [(s, zk, 1.0) for s, zk, _ in entries]
+                prox_sum /= scale
             # where a denominator is zero every vote adds exactly zero, and
             # dividing by one keeps it; likewise a voxel no shell reaches
             self._shells.append((w, entries, *(np.where(d > 0, d, 1.0)
                                                for d in (contrast_sum, prox_sum))))
-            weight_present += w * (prox_sum > 0)  # q^2 > 0: the shell reaches here
         # shells clipped away at the boundary hand their weight to the rest
         self._renorm = np.where(weight_present > 0, weight_present, 1.0)
 
     def _padded_members(self, u: np.ndarray, centers: np.ndarray,
                         fuzziness: float) -> dict[int, np.ndarray]:
-        """Padded memberships per plane: ``u`` in plane z, the plain update elsewhere."""
+        """Padded memberships per plane: ``u`` in plane z, elsewhere the plain
+        update from cluster-major distances, written into the interiors of
+        this context's buffers."""
         nx, ny = self.shape
-        pad = self._pad
-        members = {}
-        for zk, plane in self._planes.items():
-            u_k = u
-            if zk != self._z:
-                inner = plane.reshape(-1, self._row)[pad:pad + ny, pad:pad + nx].ravel()
-                u_k = update_membership((inner[:, None] - centers) ** 2, fuzziness)
-            members[zk] = _padded(u_k.T.reshape(-1, ny, nx), pad)
-        return members
+        c = centers.size
+        ys, xs = slice(self._pad, self._pad + ny), slice(self._pad, self._pad + nx)
+        if self._members is None or len(self._members[self._z]) != c:
+            self._members = {zk: np.zeros((c, plane.size)) for zk, plane in self._planes.items()}
+        for zk, padded in self._members.items():
+            if zk == self._z:
+                u_k = u.reshape(ny, nx, c).transpose(2, 0, 1)
+            else:
+                d2 = (self._planes[zk].reshape(-1, self._row)[ys, xs] - centers[:, None, None]) ** 2
+                u_k = update_membership(d2.reshape(c, -1).T, fuzziness).T.reshape(c, ny, nx)
+            padded.reshape(c, -1, self._row)[:, ys, xs] = u_k
+        return self._members
 
     def attraction_terms(self, u: np.ndarray, centers: np.ndarray,
                          fuzziness: float) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +256,11 @@ class NeighbourContext:
             raise ValidationError(f"membership shape {u.shape} does not match "
                                   f"{n} voxels x {c} clusters")
         h, f = self._gather(self._padded_members(u, centers, fuzziness), c)
-        return tuple(np.ascontiguousarray(t.reshape(c, ny, self._row)[:, :, :nx]).reshape(c, n).T
-                     for t in (h, f))
+        # cut to the voxel columns one at a time, each padded term going as
+        # its cut is made
+        h = np.ascontiguousarray(h.reshape(c, ny, self._row)[:, :, :nx]).reshape(c, n).T
+        f = np.ascontiguousarray(f.reshape(c, ny, self._row)[:, :, :nx]).reshape(c, n).T
+        return h, f
 
     def _gather(self, members: dict[int, np.ndarray], c: int) -> tuple[np.ndarray, np.ndarray]:
         """H and F over the padded rows, band by band; only the voxel columns
@@ -260,13 +283,15 @@ class NeighbourContext:
                 np.square(m[:, start:stop + 2 * reach], out=squares[zk][:, :span + 2 * reach])
             hb, fb = h[:, start:stop], f[:, start:stop]
             for w, entries, contrast_den, prox_den in self._shells:
-                cv.fill(0.0)
-                pv.fill(0.0)
-                for s, zk, q2 in entries:
+                for k, (s, zk, q2) in enumerate(entries):
                     at = slice(start + reach + s, stop + reach + s)
                     np.abs(np.subtract(centre[start:stop], self._planes[zk][at], out=g), out=g)
-                    cv += np.multiply(members[zk][:, at], g, out=tmp)
                     sq = squares[zk][:, reach + s:reach + s + span]
+                    if k == 0:  # the first vote is written, as 0 + x is x
+                        np.multiply(members[zk][:, at], g, out=cv)
+                        np.multiply(sq, q2, out=pv)
+                        continue
+                    cv += np.multiply(members[zk][:, at], g, out=tmp)
                     pv += sq if q2 == 1.0 else np.multiply(sq, q2, out=tmp)
                 # ratios are never negative, so clipping to [0, 1] is a minimum
                 for vote, den, out in ((cv, contrast_den, hb), (pv, prox_den, fb)):
@@ -319,24 +344,31 @@ def attraction_distances(ctx, u: np.ndarray, centers: np.ndarray,
     (H, F) pair already gathered at ``(u, centers)``, if the caller has it."""
     h, f = terms or ctx.attraction_terms(u, centers, fuzziness)
     centers = np.asarray(centers, dtype=np.float64).ravel()
-    return (ctx.data[:, None] - centers) ** 2 * np.maximum(
-        1.0 - feature_weight * h - spatial_weight * f, FACTOR_FLOOR)
+    # cluster-major like the terms, and in place, so that no more than two
+    # (c, n) arrays are made at once; handed back as the (n, c) view
+    factor = np.subtract(1.0, feature_weight * h.T)
+    factor -= spatial_weight * f.T
+    d2 = np.subtract(ctx.data, centers[:, None])
+    np.square(d2, out=d2)
+    d2 *= np.maximum(factor, FACTOR_FLOOR, out=factor)
+    return d2.T
 
 
 def ifcm_step(ctx, u: np.ndarray, centers: np.ndarray, params: AttractionParams,
-              cfg: FcmConfig, terms=None) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, float]:
+              cfg: FcmConfig, terms=None
+              ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, Callable[[], float]]:
     """One Picard update under attraction distances, the step both the weight
     probe and :func:`voxseg.fcm.settle` run.
 
     Recomputes distances from the given state, or from ``terms`` gathered
     there, updates memberships, then centers; returns the column order the
     centers were sorted into (None when no column moved), the new memberships
-    and centers in that order, and the cost evaluated with the new
-    memberships against the distances just used: settle's step result.
+    and centers in that order, and the cost of the new memberships against
+    the distances just used, as a function of no arguments: settle's step
+    result.  Distances and memberships are cluster-major (n, c) views.
     """
     d2 = attraction_distances(ctx, u, centers, cfg.fuzziness,
                               params.feature_weight, params.spatial_weight, terms)
-    u = update_membership(d2, cfg.fuzziness)
-    cost = jm_cost(u, d2, cfg.fuzziness)
-    centers, u, order = update_centers(u, ctx.data, cfg.fuzziness)
-    return order, u, centers, cost
+    u_new = update_membership(d2, cfg.fuzziness)
+    centers, u_next, order = update_centers(u_new, ctx.data, cfg.fuzziness)
+    return order, u_next, centers, lambda: jm_cost(u_new, d2, cfg.fuzziness)

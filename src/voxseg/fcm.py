@@ -17,6 +17,15 @@ M-step sums in :func:`gmm_init`.  Row minima, maxima and sums over the c
 clusters are column folds (:func:`_fold_columns`), so numpy loops over long
 columns, not c-wide rows.
 
+Distances and memberships are (n, c) matrices, and the fits here and in
+:mod:`voxseg.attraction` build them cluster-major, as transposes of (c, n)
+arrays, so that each column is contiguous.  :func:`update_membership`
+returns its result in the layout of the distances it is given.  Every
+result has the same bits in either layout: elementwise rules and column
+folds do not depend on it, and the two reductions whose rounding does, the
+product in :func:`update_centers` and the sum in :func:`jm_cost`, read
+row-major operands.
+
 The rules are Bezdek's; their rounding is not the textbook evaluation's.
 Memberships stay within (2/(m-1) + c + 5) units of 2^-53 of an
 extended-precision evaluation of the same rule, relative to it, for any c.
@@ -82,9 +91,10 @@ def check_membership(u: np.ndarray, *, tol: float = 1e-9) -> None:
 
 
 def jm_cost(u: np.ndarray, d2: np.ndarray, fuzziness: float) -> float:
-    """Weighted within-cluster scatter: sum of u^m * d^2."""
-    u = np.asarray(u, dtype=np.float64)
-    d2 = np.asarray(d2, dtype=np.float64)
+    """Weighted within-cluster scatter: sum of u^m * d^2, summed row-major
+    whatever the operands' layout."""
+    u = np.asarray(u, dtype=np.float64, order="C")
+    d2 = np.asarray(d2, dtype=np.float64, order="C")
     if u.shape != d2.shape:
         raise ValidationError(f"shape mismatch {u.shape} vs {d2.shape}")
     if d2.min() < 0:
@@ -107,7 +117,9 @@ def update_membership(d2: np.ndarray, fuzziness: float) -> np.ndarray:
 
     A point at exactly zero distance from a center gets full membership
     there (lowest such column on ties).  Ratios are taken against each
-    row's smallest distance so large exponents cannot overflow.
+    row's smallest distance so large exponents cannot overflow.  The
+    result has ``d2``'s layout, so the column folds over both stay
+    contiguous for cluster-major distances.
     """
     d2 = np.asarray(d2, dtype=np.float64)
     if d2.ndim != 2:
@@ -119,8 +131,7 @@ def update_membership(d2: np.ndarray, fuzziness: float) -> np.ndarray:
     power = 1.0 / (fuzziness - 1.0)
     # rows with a zero distance divide 0 by 0 here and are replaced below
     with np.errstate(invalid="ignore"):
-        # row-major like its callers' reductions expect, whatever d2's layout
-        u = np.divide(dmin[:, None], d2, out=np.empty(d2.shape))
+        u = np.divide(dmin[:, None], d2, out=np.empty_like(d2))
         if power != 1.0:
             u **= power
         u /= _fold_columns(np.add, u)[:, None]
@@ -142,8 +153,10 @@ def update_centers(u: np.ndarray, data: np.ndarray, fuzziness: float
     """
     u = np.asarray(u, dtype=np.float64)
     data = np.asarray(data, dtype=np.float64).ravel()
-    # every column's mass and weighted sum from one product
-    mass, total = ((u ** fuzziness).T @ np.column_stack((np.ones(data.size), data))).T
+    # every column's mass and weighted sum from one product, of a row-major
+    # u^m whatever u's layout
+    mass, total = (np.power(u, fuzziness, order="C").T
+                   @ np.column_stack((np.ones(data.size), data))).T
     if np.any(mass <= 0):
         empty = np.flatnonzero(mass <= 0)
         raise DegenerateClusterError(f"cluster(s) {empty.tolist()} lost all membership")
@@ -244,15 +257,23 @@ def fcm(data: np.ndarray, centers: np.ndarray, cfg: FcmConfig) -> FcmResult:
                               f"got shape {centers.shape}")
     centers = np.sort(centers)
 
+    def distances(centers):
+        return ((data - centers[:, None]) ** 2).T  # cluster-major
+
     def step(u, centers):
         centers, _, order = update_centers(u, data, cfg.fuzziness)
-        d2 = (data[:, None] - centers) ** 2
+        d2 = distances(centers)
         u_next = update_membership(d2, cfg.fuzziness)
-        return order, u_next, centers, jm_cost(u_next, d2, cfg.fuzziness)
+        return order, u_next, centers, lambda: jm_cost(u_next, d2, cfg.fuzziness)
 
     # handed over directly, so no local here keeps them alive through the loop
-    return settle(step, update_membership((data[:, None] - centers) ** 2, cfg.fuzziness),
-                  centers, cfg)
+    return settle(step, update_membership(distances(centers), cfg.fuzziness), centers, cfg)
+
+
+def _max_shift(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over all entries, from one temporary."""
+    shift = np.subtract(a, b)
+    return float(np.abs(shift, out=shift).max())
 
 
 def settle(step, u: np.ndarray, centers: np.ndarray, cfg: FcmConfig) -> FcmResult:
@@ -261,28 +282,30 @@ def settle(step, u: np.ndarray, centers: np.ndarray, cfg: FcmConfig) -> FcmResul
 
     ``step(u, centers)`` returns ``(order, after, centers, cost)``: the
     column order the step sorted the new centers into (None when it moved
-    no column), the next memberships, the new centers and the cost.  Every
-    earlier iterate kept is put in that order too, so iterates are compared
-    cluster by cluster.  ``stop_reason`` is "converged" once after and
-    before differ by less than ``cfg.tolerance`` in the max norm; at
-    ``cfg.max_iterations`` it is "cycle" when the last iterate is that close
-    to the one two steps earlier (the loop alternates between two states),
-    else "cap".  Only that earlier iterate outlives a step.
+    no column), the next memberships, the new centers, and the cost as a
+    function of no arguments, which settle calls once, for the iterate it
+    returns.  Every earlier iterate kept is put in that order too, so
+    iterates are compared cluster by cluster.  ``stop_reason`` is
+    "converged" once after and before differ by less than ``cfg.tolerance``
+    in the max norm; at ``cfg.max_iterations`` it is "cycle" when the last
+    iterate is that close to the one two steps earlier (the loop alternates
+    between two states), else "cap".  Only that earlier iterate outlives a
+    step: the previous step's cost goes before the next step runs.
     """
     two_back = None
     for done in range(cfg.max_iterations):
+        cost = None  # the previous step's, and the distances it holds
         order, after, centers, cost = step(u, centers)
         before, u = reorder(u, order), after
         if two_back is not None:
             two_back = reorder(two_back, order)
-        if float(np.abs(u - before).max()) < cfg.tolerance:
-            return FcmResult(u, centers, done + 1, cost, "converged")
+        if _max_shift(u, before) < cfg.tolerance:
+            return FcmResult(u, centers, done + 1, cost(), "converged")
         if done == cfg.max_iterations - 2:
             two_back = before
         del before
-    cycle = (two_back is not None
-             and float(np.abs(u - two_back).max()) < cfg.tolerance)
-    return FcmResult(u, centers, cfg.max_iterations, cost, "cycle" if cycle else "cap")
+    cycle = two_back is not None and _max_shift(u, two_back) < cfg.tolerance
+    return FcmResult(u, centers, cfg.max_iterations, cost(), "cycle" if cycle else "cap")
 
 
 def gmm_fcm(v: Volume, c: int, cfg: FcmConfig) -> FcmResult:

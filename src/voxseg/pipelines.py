@@ -37,7 +37,7 @@ WEIGHT_BOUNDS = ((0.0, 1.0), (0.0, 1.0))
 
 @dataclass
 class SegmentationResult:
-    membership: np.ndarray
+    membership: np.ndarray           # (n, c), row-major whatever layout the fit ran in
     centers: np.ndarray
     labels: LabelVolume
     feature_weight: float | None     # None for plain fcm, which has no weights
@@ -97,7 +97,7 @@ def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
         _, u, centers, cost = ifcm_step(ctx, u0, centers0, p, cfg, terms)
         for _ in range(steps - 1):
             _, u, centers, cost = ifcm_step(ctx, u, centers, p, cfg)
-        return u, centers, cost
+        return u, centers, cost()
 
     return propagate
 
@@ -136,7 +136,7 @@ def _pipeline(build, clusters, cfg: FcmConfig | None, params: AttractionParams,
     check_membership(state.membership)
     feature_weight, spatial_weight = weights or (None, None)
     return SegmentationResult(
-        membership=state.membership, centers=state.centers,
+        membership=np.ascontiguousarray(state.membership), centers=state.centers,
         labels=defuzzify(state.membership, ctx.label_dims),
         feature_weight=feature_weight, spatial_weight=spatial_weight,
         iterations=state.iterations, final_cost=float(state.cost),

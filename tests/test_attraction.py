@@ -319,6 +319,50 @@ def test_banded_terms_bit_identical_to_reference(monkeypatch, band, c):
     check_terms_against_reference(c)
 
 
+def test_one_context_serves_two_cluster_counts():
+    # the padded buffers are made again when the cluster count changes
+    rng = np.random.default_rng(33)
+    grid = np.round(rng.uniform(0, 6, size=(9, 7, 7))) * 40.0
+    shells, weights = build_shell_table(3).shells, decay_weights(1.3, 3)
+    ctx = slice_context(Volume((9, 7, 7), grid, 240.0), SliceRef("z", 3), 3, 1.3)
+    for c in (4, 2, 4):
+        centers = np.sort(rng.uniform(0, 240, size=c))
+        u = rng.uniform(0, 1, size=(63, c))
+        u /= u.sum(axis=1, keepdims=True)
+        h, f = ctx.attraction_terms(u, centers, 2.0)
+        rh, rf = reference_terms(grid, 3, shells, weights, u, centers, 2.0)
+        assert np.array_equal(h, rh) and np.array_equal(f, rf)
+
+
+def test_second_call_makes_no_padded_planes():
+    # the context keeps its padded membership planes: a second call's peak
+    # lies below the first's by at least their size, and it writes into the
+    # same arrays
+    rng = np.random.default_rng(6)
+    vol = Volume((60, 50, 5), rng.uniform(0, 100, size=(60, 50, 5)), 100.0)
+    ctx = slice_context(vol, SliceRef("z", 2), 3, 1.5)
+    u = rng.uniform(0, 1, size=(ctx.data.size, 4))
+    u /= u.sum(axis=1, keepdims=True)
+    centers = np.array([10.0, 40.0, 60.0, 90.0])
+    planes = 3 * 4 * 62 * 52 * 8  # z and z +- 1, 4 clusters, a one-voxel border
+    tracemalloc.start()
+    try:
+        grown, buffers = [], []
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ctx.attraction_terms(u, centers, 2.0)
+            current, peak = tracemalloc.get_traced_memory()
+            grown.append((peak - before, current - before))
+            buffers.append(list(ctx._members.values()))
+    finally:
+        tracemalloc.stop()
+    (first_peak, kept), (second_peak, _) = grown
+    assert kept >= planes
+    assert second_peak <= first_peak - planes
+    assert all(a is b for a, b in zip(*buffers))
+
+
 def test_terms_memory_at_paper_size():
     # one depth-3 call on a 181x217 slice: no full-size vote buffers or
     # per-offset temporaries, only the padded memberships and the results
@@ -421,7 +465,7 @@ def test_ifcm_step_zero_weights_is_plain_fcm_step():
     c_ref, u_ref, _ = update_centers(u_ref, ctx.data, cfg.fuzziness)
     assert np.array_equal(u2, u_ref)
     assert np.array_equal(c2, c_ref)
-    assert cost == cost_ref
+    assert cost() == cost_ref
 
 
 def test_ifcm_step_with_attraction():
@@ -434,7 +478,25 @@ def test_ifcm_step_with_attraction():
     _, u2, c2, cost = ifcm_step(ctx, u, centers, params, FcmConfig())
     assert np.allclose(u2.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(np.diff(c2) >= 0)
-    assert cost >= 0.0
+    assert cost() >= 0.0
+
+
+@pytest.mark.parametrize("three_d", [False, True], ids=["2d", "3d"])
+def test_ifcm_step_does_not_depend_on_the_layout(three_d):
+    # a row-major start (a fit's) and the column-major memberships of a
+    # step (the cluster-major layout) give the same bits
+    rng = np.random.default_rng(21)
+    vol = Volume((9, 8, 5), rng.uniform(0, 100, size=(9, 8, 5)), 100.0)
+    ctx = (slice_context(vol, SliceRef("z", 2), 3, 1.5) if three_d
+           else plane_context(vol.data[:, :, 2]))
+    centers = np.array([70.0, 20.0, 45.0])  # unsorted, so the step reorders
+    u = update_membership((ctx.data[:, None] - centers) ** 2, 2.0)
+    params = AttractionParams(0.6, 0.4, depth=3, decay=1.5)
+    steps = [ifcm_step(ctx, layout(u), centers, params, FcmConfig())
+             for layout in (np.ascontiguousarray, np.asfortranarray)]
+    (order, u2, c2, cost), other = steps
+    assert np.array_equal(order, other[0]) and np.array_equal(c2, other[2])
+    assert np.array_equal(u2, other[1]) and cost() == other[3]()
 
 
 def test_membership_shape_rejected():

@@ -133,6 +133,7 @@ def test_segment_fcm_full_outputs(assets, tmp_path):
 
     membership = np.load(member)
     assert membership.shape == (24 * 24, 2)
+    assert membership.flags.c_contiguous  # the file's bytes do not follow the fit's layout
     assert np.allclose(membership.sum(axis=1), 1.0, atol=1e-9)
 
     assert pgm.read_bytes().startswith(b"P5\n24 24\n255\n")

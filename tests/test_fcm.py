@@ -77,14 +77,16 @@ def test_membership_bit_identical_to_reference(c, m):
     ref = reference_membership(d2, m)
     hot = (d2 == 0.0).any(axis=1)
     bound = (2.0 / (m - 1.0) + c + 5) * 2.0 ** -53
-    # column-major distances (attraction-scaled ones can be) still give
-    # row-major memberships, which later column sums rely on
+    # column-major distances (attraction-scaled ones are) give column-major
+    # memberships, so the column folds over both stay contiguous; the bits
+    # do not depend on the layout
     by_layout = []
     for layout in (d2, np.asfortranarray(d2)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             u = update_membership(layout, m)
-        assert u.flags.c_contiguous
+        assert (u.flags.c_contiguous, u.flags.f_contiguous) == (
+            layout.flags.c_contiguous, layout.flags.f_contiguous)
         assert np.array_equal(u[hot], ref[hot])
         if c == 1:
             assert np.array_equal(u, np.ones_like(u))
@@ -116,6 +118,27 @@ def test_update_centers_brute_force():
     for j in range(3):
         w = u_out[:, j] ** m
         assert abs(centers[j] - (w * data).sum() / w.sum()) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("c", [1, 3, 4, 7])
+def test_results_do_not_depend_on_the_layout(c, m):
+    # the product in update_centers and the sum in jm_cost round differently
+    # on column-major operands, so both read row-major ones; the rows are
+    # unsorted so that update_centers reorders them
+    rng = np.random.default_rng(40 + c)
+    data = rng.uniform(0.0, 255.0, size=500)
+    d2 = (data[:, None] - rng.uniform(0.0, 255.0, size=c)) ** 2
+    u = update_membership(d2, m)
+    results = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        centers, u_out, order = update_centers(layout(u), data, m)
+        results.append((centers, u_out, order, jm_cost(layout(u), layout(d2), m)))
+    (centers, u_out, order, cost), other = results
+    assert np.array_equal(centers, other[0]) and np.array_equal(u_out, other[1])
+    assert (order is None) == (other[2] is None)
+    assert order is None or np.array_equal(order, other[2])
+    assert cost == other[3]
 
 
 def test_update_centers_uniform_membership():
@@ -174,6 +197,24 @@ def test_fcm_separable_pairs():
     res = fcm(np.array([0.0, 0.0, 10.0, 10.0]), np.array([2.0, 8.0]), FcmConfig())
     assert np.allclose(res.centers, [0.0, 10.0], atol=1e-6)
     assert res.membership[0, 0] > 0.99 and res.membership[2, 1] > 0.99
+
+
+@pytest.mark.parametrize("next_u, iterations", [
+    (lambda u: 0.5 * u, 7),   # converges at step 7
+    (lambda u: u + 0.5, 10),  # runs to the cap
+], ids=["converged", "cap"])
+def test_settle_costs_only_the_iterate_it_returns(next_u, iterations):
+    # each step's cost is a function; settle calls the last step's, once
+    steps, calls = [], []
+
+    def step(u, centers):
+        steps.append(len(steps) + 1)
+        done = steps[-1]
+        return None, next_u(u), centers, lambda: calls.append(done) or float(done)
+
+    res = settle(step, np.array([[0.1, 0.9]]), np.array([1.0, 2.0]),
+                 FcmConfig(tolerance=0.01, max_iterations=10))
+    assert (res.iterations, res.cost, calls) == (iterations, float(iterations), [iterations])
 
 
 def test_fcm_single_cluster():
@@ -285,7 +326,7 @@ def test_settle_names_why_it_stopped(next_u, order, cap, iterations, reason):
     # time; settle compares iterates cluster by cluster, so the relabelling
     # changes no verdict; centers and cost are inert
     def step(u, centers):
-        return order, reorder(next_u(u), order), centers, 0.0
+        return order, reorder(next_u(u), order), centers, lambda: 0.0
 
     start = np.array([[0.1, 0.9], [1.0, 0.0]])
     res = settle(step, start, np.array([1.0, 2.0]),

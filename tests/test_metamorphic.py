@@ -88,12 +88,23 @@ def test_labels_follow_the_volume(noisy, plain, name, algorithm):
         assert after.iterations == before.iterations
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_acceptance_size_mirror(acceptance_noisy, algorithm):
-    # the acceptance protocol: 96^3, z:48, swarm and population 20 x 10
-    moved, ref, back = mirror(0, SliceRef("z", 48))(acceptance_noisy)
-    before, after = (run(algorithm, vol, ref, 20, 10) for vol in (acceptance_noisy, moved))
+def check_acceptance_size_mirror(vol, axis, at, algorithm):
+    # the acceptance protocol: 96^3, swarm and population 20 x 10
+    moved, ref, back = mirror(axis, at)(vol)
+    before, after = (run(algorithm, v, ref, 20, 10) for v in (vol, moved))
     assert np.array_equal(back(after.labels.labels), before.labels.labels)
     assert after.stop_reason == before.stop_reason
     assert ((after.feature_weight, after.spatial_weight)
             == (before.feature_weight, before.spatial_weight))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_acceptance_size_mirror(acceptance_noisy, algorithm):
+    check_acceptance_size_mirror(acceptance_noisy, 0, SliceRef("z", 48), algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_acceptance_size_mirror_on_a_plane_with_every_label(acceptance_noisy, algorithm):
+    # x:40 holds all four labels; its plane spans y and z, so the mirror
+    # runs along y
+    check_acceptance_size_mirror(acceptance_noisy, 1, SliceRef("x", 40), algorithm)

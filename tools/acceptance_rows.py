@@ -12,7 +12,12 @@ all four.  Each row is ``slice algorithm labels/membership/centres
 iterations weights final_cost stop_reason``, where the three hashes are the
 first 16 hex digits of the sha256 of each array's bytes and ``final_cost``
 is its ``repr``.  A change that should leave the results alone must print
-the same rows.
+the same rows: save them before it and compare after it, in bash::
+
+    python3 tools/acceptance_rows.py > rows.txt
+    diff rows.txt <(python3 tools/acceptance_rows.py)
+
+``diff`` shows each row that differs and exits 1 if there is one.
 """
 
 from __future__ import annotations
