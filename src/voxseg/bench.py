@@ -36,7 +36,8 @@ from voxseg.noise import NoiseSpec, add_noise
 from voxseg.optimize import GaConfig, PsoConfig
 from voxseg.phantom import PhantomSpec, generate_phantom
 from voxseg.pipelines import ALGORITHMS, segment
-from voxseg.volume import LabelVolume, SliceRef, Volume, extract_slice, load_labels, load_volume
+from voxseg.volume import (MAX_CLUSTERS, LabelVolume, SliceRef, Volume, extract_slice,
+                           load_labels, load_volume)
 
 SCORE_COLUMNS = ("cluster", "UnS", "OS", "IncS")
 REPORT_COLUMNS = ("algorithm", "noise_kind", "noise_percent", "seed", *SCORE_COLUMNS,
@@ -48,6 +49,11 @@ COMPARISON_COLUMNS = ("algorithm_a", "noise_kind", "noise_percent",
 
 @dataclass
 class BenchConfig:
+    """One run's settings, in field order filling the noise matrix, the source (a
+    ``PhantomSpec``, or a volume and its labels) and its scored slice, the cluster
+    count, ``FcmConfig``, ``AttractionParams`` (its weights are plain ifcm's), the
+    ``PsoConfig`` and ``GaConfig`` budgets, the weight probe and the scoring."""
+
     algorithms: tuple[str, ...] = ("fcm", "3dpifcm")
     noise_kinds: tuple[str, ...] = ("gaussian",)
     noise_percents: tuple[float, ...] = (5.0,)
@@ -68,16 +74,8 @@ class BenchConfig:
     spatial_weight: float = 0.5
     swarm_size: int = PsoConfig.swarm_size
     pso_max_iter: int = PsoConfig.max_iter
-    omega: float = PsoConfig.omega
-    phip: float = PsoConfig.phip
-    phig: float = PsoConfig.phig
-    minstep: float = PsoConfig.minstep
-    minfunc: float = PsoConfig.minfunc     # reaches the GA too
     population: int = GaConfig.population
     generations: int = GaConfig.generations
-    crossover_rate: float = GaConfig.crossover_rate
-    mutation_rate: float = GaConfig.mutation_rate
-    mutation_sigma: float = GaConfig.mutation_sigma
     probe_steps: int = 1
     literal_incs: bool = False
     per_cluster: bool = False
@@ -92,6 +90,9 @@ class BenchConfig:
             raise ValidationError("volume_path and truth_path must be given together")
         if self.cluster_count < 1:
             raise ValidationError(f"cluster count must be >= 1, got {self.cluster_count}")
+        if self.cluster_count > MAX_CLUSTERS:
+            raise ValidationError(
+                f"cluster count must be <= {MAX_CLUSTERS}, got {self.cluster_count}")
         if int(self.probe_steps) < 1:
             raise ValidationError(f"probe_steps must be >= 1, got {self.probe_steps}")
         # build what every cell builds, so a bad setting fails here, once,

@@ -82,23 +82,20 @@ def _globals(parser, suppress: bool):
 
 def _method_flags(parser, *unset, clusters=BenchConfig().cluster_count):
     """The method flags; then every flag added so far that fills a BenchConfig
-    field takes that field's default, but for --lam/--xi and ``unset``, whose
-    None ("search", or segment's own slice) ``_settings`` leaves out;
-    ``clusters`` is the count --help names for an unset --c."""
+    field takes that field's default and names it in its help, but for
+    --lam/--xi and ``unset``, whose None ("search", or segment's own slice)
+    ``_settings`` leaves out; ``clusters`` is the count --help names for an unset --c."""
     parser.add_argument("--c", "--clusters", dest="clusters", type=int,
                         help=f"number of clusters (default {clusters})")
     parser.add_argument("--m", "--fuzziness", dest="fuzziness", type=float,
-                        help="fuzziness exponent (default %(default)s)")
+                        help="fuzziness exponent")
     parser.add_argument("--eps", "--tolerance", dest="tolerance", type=float,
-                        help="membership-shift stop threshold (default %(default)s)")
-    parser.add_argument("--max-iter", dest="max_iterations", type=int,
-                        help="iteration cap (default %(default)s)")
-    parser.add_argument("--L", "--level", dest="level", type=int, help="2-D neighbourhood "
-                        "level: 2 = 4 neighbours, 3 = 8 (default %(default)s)")
-    parser.add_argument("--v", "--depth", dest="depth", type=int,
-                        help="number of 3-D neighbour shells (default %(default)s)")
-    parser.add_argument("--h", "--decay", dest="decay", type=float,
-                        help="shell weight decay (default %(default)s)")
+                        help="membership-shift stop threshold")
+    parser.add_argument("--max-iter", dest="max_iterations", type=int, help="iteration cap")
+    parser.add_argument("--L", "--level", dest="level", type=int,
+                        help="2-D neighbourhood level: 2 = 4 neighbours, 3 = 8")
+    parser.add_argument("--v", "--depth", dest="depth", type=int, help="3-D neighbour shells")
+    parser.add_argument("--h", "--decay", dest="decay", type=float, help="shell weight decay")
     parser.add_argument("--lam", "--feature-weight", dest="feature_weight", type=float,
                         help="intensity attraction weight in [0, 1], given with --xi. "
                              f"segment: ifcm runs at it (default {BenchConfig.feature_weight}) "
@@ -108,34 +105,32 @@ def _method_flags(parser, *unset, clusters=BenchConfig().cluster_count):
     parser.add_argument("--xi", "--spatial-weight", dest="spatial_weight", type=float,
                         help="proximity attraction weight in [0, 1], given with "
                              "--lam and used the same way")
-    parser.add_argument("--swarm", dest="swarm_size", type=int)
+    parser.add_argument("--swarm", dest="swarm_size", type=int, help="PSO swarm size")
     parser.add_argument("--opt-iters", dest="pso_max_iter", type=int,
-                        help="optimizer iterations / generations (default %(default)s)")
-    parser.add_argument("--omega", type=float)
-    parser.add_argument("--phip", type=float)
-    parser.add_argument("--phig", type=float)
-    parser.add_argument("--minstep", type=float)
-    parser.add_argument("--minfunc", type=float)
-    parser.add_argument("--population", type=int)
-    parser.add_argument("--crossover", dest="crossover_rate", type=float)
-    parser.add_argument("--mutation", dest="mutation_rate", type=float)
-    parser.add_argument("--mutation-sigma", dest="mutation_sigma", type=float)
+                        help="optimizer iterations / generations")
+    parser.add_argument("--population", type=int, help="GA population size")
     parser.add_argument("--probe-steps", dest="probe_steps", type=int,
-                        help="attraction steps per candidate evaluation (default %(default)s)")
+                        help="attraction steps per candidate evaluation")
     own = {f.name: f.default for f in fields(BenchConfig)
            if f.name not in ("feature_weight", "spatial_weight", *unset)}
-    parser.set_defaults(**{a.dest: own[a.dest] for a in parser._actions if a.dest in own})
+    for action in parser._actions:
+        if action.dest in own:
+            action.default = default = own[action.dest]
+            if default is not None:  # written as the flag takes it
+                shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+                action.help = f"{action.help} (default {shown})"
 
 
 def _matrix_flags(parser):
     """The noise matrix and phantom flags bench and sweep share, then the method flags."""
-    parser.add_argument("--kinds", dest="noise_kinds", type=_list_of(str))
-    parser.add_argument("--percents", dest="noise_percents", type=_list_of(float))
-    parser.add_argument("--seeds", type=_list_of(int))
-    parser.add_argument("--dims", type=_triple)
-    parser.add_argument("--shells", type=int)
-    parser.add_argument("--slice", dest="slice_spec",
-                        help='plane to segment: "mid" or e.g. z:48 (default %(default)s)')
+    parser.add_argument("--kinds", dest="noise_kinds", type=_list_of(str),
+                        help=f"noise kinds, from {','.join(KINDS)}")
+    parser.add_argument("--percents", dest="noise_percents", type=_list_of(float),
+                        help="noise levels as percent of intensity_max")
+    parser.add_argument("--seeds", type=_list_of(int), help="noise and optimizer seeds")
+    parser.add_argument("--dims", type=_triple, help="phantom extents nx,ny,nz")
+    parser.add_argument("--shells", type=int, help="number of nested phantom shells")
+    parser.add_argument("--slice", dest="slice_spec", help='plane to segment: "mid" or e.g. z:48')
     _method_flags(parser, clusters="one per --shells")
 
 
@@ -206,13 +201,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="run the algorithm x noise benchmark matrix")
     _globals(p, suppress=True)
-    p.add_argument("--algorithms", type=_list_of(str))
+    p.add_argument("--algorithms", type=_list_of(str),
+                   help=f"algorithms to run, from {','.join(ALGORITHMS)}")
     _matrix_flags(p)
     p.add_argument("--volume", dest="volume_path", default=None,
                    help="benchmark this volume instead of a generated phantom")
     p.add_argument("--truth", dest="truth_path", default=None,
                    help="labels for --volume")
-    p.add_argument("--literal-incs", dest="literal_incs", action="store_true")
+    p.add_argument("--literal-incs", dest="literal_incs", action="store_true",
+                   help="report IncS as (UnS + OS) / total instead of error share")
     p.add_argument("--per-cluster", dest="per_cluster", action="store_true",
                    help="emit per-cluster rows in addition to the mean row")
     p.add_argument("--report", default=None, help="report CSV (stdout when omitted)")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from voxseg.errors import UndefinedMetricError, ValidationError
-from voxseg.volume import LabelVolume
+from voxseg.volume import MAX_CLUSTERS, LabelVolume
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def defuzzify(u: np.ndarray, dims: tuple[int, int, int]) -> LabelVolume:
     n, c = u.shape
     if n != int(np.prod(dims)):
         raise ValidationError(f"membership rows {n} do not match dims {dims}")
-    if c > 256:
+    if c > MAX_CLUSTERS:
         raise ValidationError("more clusters than uint8 labels can carry")
     return LabelVolume.from_flat(dims, np.argmax(u, axis=1).astype(np.uint8))
 

@@ -84,8 +84,8 @@ def _given_start(ctx, init, clusters: int | None, whole: bool):
 
 def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
            steps: int):
-    """Objective for weight search: cost after ``steps`` runs of
-    :func:`ifcm_step` from the frozen starting state.
+    """Probe for weight search: the state after ``steps`` runs of :func:`ifcm_step`
+    from the frozen starting state, and the last step's cost as a function.
 
     The neighbourhood terms depend only on the start state, so they are
     gathered once and every candidate's first step reuses them.
@@ -97,7 +97,7 @@ def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
         _, u, centers, cost = ifcm_step(ctx, u0, centers0, p, cfg, terms)
         for _ in range(steps - 1):
             _, u, centers, cost = ifcm_step(ctx, u, centers, p, cfg)
-        return u, centers, cost()
+        return u, centers, cost
 
     return propagate
 
@@ -105,7 +105,7 @@ def _probe(ctx, u0, centers0, cfg: FcmConfig, params: AttractionParams,
 def _search(propagate, minimize, opt_cfg):
     """The weights ``minimize`` picks over the probe ``propagate``, the no-attraction
     point planted, and the state the probe reaches there, which the loop starts from."""
-    position = minimize(lambda p: propagate(*p)[2], opt_cfg, seed_points=[(0.0, 0.0)]).position
+    position = minimize(lambda p: propagate(*p)[2](), opt_cfg, seed_points=[(0.0, 0.0)]).position
     return position, propagate(*position)[:2]
 
 

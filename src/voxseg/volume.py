@@ -44,6 +44,7 @@ _MAGIC = b"VXF1"
 _HEADER = struct.Struct("<B3I")
 
 AXES = {"x": 0, "y": 1, "z": 2}
+MAX_CLUSTERS = 256  # the most a LabelVolume's uint8 labels can name
 
 
 @dataclass(frozen=True, eq=False)

@@ -85,10 +85,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         {"fuzziness": 0.5}, {"tolerance": 0.0}, {"max_iterations": 0},
         {"depth": 9}, {"level": 1}, {"decay": 0.0}, {"feature_weight": 1.5},
-        {"swarm_size": 1}, {"pso_max_iter": 0}, {"omega": -1.0},
-        {"population": 1}, {"generations": 0}, {"crossover_rate": 2.0},
+        {"swarm_size": 1}, {"pso_max_iter": 0}, {"population": 1}, {"generations": 0},
         {"noise_kinds": ("gaussian", "speckle")}, {"noise_percents": (5.0, 150.0)},
-        {"seeds": (0, -1)}, {"clusters": 0}, {"clusters": -2}, {"slice_spec": "q:1"},
+        {"seeds": (0, -1)}, {"clusters": 0}, {"clusters": -2}, {"clusters": 257},
+        {"slice_spec": "q:1"},
         {"dims": (8, 8)}, {"dims": (0, 8, 8)}, {"shells": 1}, {"dims": (4, 4, 4), "shells": 4},
     ], ids=lambda bad: next(iter(bad)))
     def test_bad_setting_fails_when_built(self, bad):

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from voxseg.cli import main
 from voxseg.fcm import FcmConfig, gmm_fcm
 from voxseg.metrics import defuzzify, evaluate_labels
 from voxseg.noise import NoiseSpec, add_noise
+from voxseg.optimize import GaConfig, PsoConfig
 from voxseg.phantom import PhantomSpec, generate_phantom
 from voxseg.pipelines import segment
 from voxseg.volume import (LabelVolume, SliceRef, extract_slice, load_labels,
@@ -408,6 +409,7 @@ def test_bench_logs_progress(capsys):
 
 
 OFF_THE_PHANTOM = "slice z:20 out of range for dims (8, 8, 8)"
+TOO_MANY_CLUSTERS = "cluster count must be <= 256, got 257"
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -416,13 +418,26 @@ OFF_THE_PHANTOM = "slice z:20 out of range for dims (8, 8, 8)"
     (["bench", "--algorithms", "fcm", "--c", "0", "--report"],
      "cluster count must be >= 1, got 0"),
     (["sweep", "--param", "v", "--grid", "2.5", "--out"], "v counts shells"),
-], ids=["bench-slice", "sweep-slice", "bench-clusters", "sweep-fractional-v"])
+    (["bench", "--algorithms", "fcm", "--c", "257", "--report"], TOO_MANY_CLUSTERS),
+    (["sweep", "--param", "h", "--grid", "1", "--c", "257", "--out"], TOO_MANY_CLUSTERS),
+], ids=["bench-slice", "sweep-slice", "bench-clusters", "sweep-fractional-v",
+        "bench-too-many-clusters", "sweep-too-many-clusters"])
 def test_refused_setting_fails_before_any_cell(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.setattr(bench, "segment", lambda *args, **kwargs: pytest.fail("a cell ran"))
     out = tmp_path / "out.csv"
     assert main([*argv, str(out), "--dims", "8,8,8", "--shells", "2", "--percents", "5",
                  "--seeds", "0", "--quiet"]) == 1
     assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_segment_refuses_too_many_clusters_before_fitting(assets, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(bench, "segment", lambda *args, **kwargs: pytest.fail("a fit ran"))
+    out = tmp_path / "labels.vxf"
+    assert main(["segment", "--in", str(assets["noisy"]), "--algo", "fcm",
+                 "--out", str(out), "--c", "257", "--quiet"]) == 1
+    assert TOO_MANY_CLUSTERS in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -501,16 +516,18 @@ def test_seed_flag_beats_config_on_either_side(assets, tmp_path, before, after, 
 # every flag segment, bench and sweep share, each at a non-default value
 METHOD_FLAGS = ["--c", "3", "--m", "2.5", "--eps", "0.02", "--max-iter", "77",
                 "--L", "3", "--v", "2", "--h", "1.7", "--lam", "0.3", "--xi", "0.6",
-                "--swarm", "7", "--opt-iters", "3", "--omega", "0.4", "--phip", "0.3",
-                "--phig", "0.2", "--minstep", "1e-5", "--minfunc", "1e-6",
-                "--population", "9", "--crossover", "0.7", "--mutation", "0.2",
-                "--mutation-sigma", "0.3", "--probe-steps", "2"]
+                "--swarm", "7", "--opt-iters", "3", "--population", "9",
+                "--probe-steps", "2"]
 METHOD_SETTINGS = dict(
     clusters=3, fuzziness=2.5, tolerance=0.02, max_iterations=77, level=3, depth=2,
     decay=1.7, feature_weight=0.3, spatial_weight=0.6, swarm_size=7, pso_max_iter=3,
-    omega=0.4, phip=0.3, phig=0.2, minstep=1e-5, minfunc=1e-6, population=9,
-    generations=3, crossover_rate=0.7, mutation_rate=0.2, mutation_sigma=0.3,
-    probe_steps=2)
+    population=9, generations=3, probe_steps=2)
+# the swarm's and the GA's constants, PsoConfig and GaConfig fields only:
+# each flag and the BenchConfig field it used to fill
+OPTIMISER_CONSTANTS = [("--omega", "omega"), ("--phip", "phip"), ("--phig", "phig"),
+                       ("--minstep", "minstep"), ("--minfunc", "minfunc"),
+                       ("--crossover", "crossover_rate"), ("--mutation", "mutation_rate"),
+                       ("--mutation-sigma", "mutation_sigma")]
 MATRIX_FLAGS = ["--kinds", "gaussian,poisson", "--percents", "3,4", "--seeds", "5,6",
                 "--dims", "10,11,12", "--shells", "3", "--slice", "z:4"]
 MATRIX_SETTINGS = dict(noise_kinds=("gaussian", "poisson"), noise_percents=(3.0, 4.0),
@@ -542,8 +559,10 @@ def test_flags_fill_bench_config(assets, monkeypatch, command):
                                             *METHOD_FLAGS])
         want = BenchConfig(**METHOD_SETTINGS)
         assert args[0] == "gaifcm" and args[3] == 3
+        # the optimisers' constants keep their class defaults
         assert args[4:] == (want.fcm_config(), want.attraction_params(),
-                            want.pso_config(4), want.ga_config(4), (0.3, 0.6), 2)
+                            PsoConfig(swarm_size=7, max_iter=3, seed=4),
+                            GaConfig(population=9, generations=3, seed=4), (0.3, 0.6), 2)
     elif command == "bench":
         cfg, = captured_calls(monkeypatch, ["bench", "--algorithms", "fcm,ifcm",
                                             "--volume", volume, "--truth", truth,
@@ -589,6 +608,47 @@ def test_cluster_count_help_names_its_default(capsys, command, default):
         assert f"iteration cap (default {FcmConfig.max_iterations})" in text
 
 
+@pytest.mark.parametrize("command", ["segment", "bench", "sweep"])
+def test_help_names_every_bench_config_default(capsys, command):
+    # every flag whose default _method_flags takes from a BenchConfig field
+    # prints it as the flag takes it
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    entries = {entry.split()[0]: " ".join(entry.split())
+               for entry in re.split(r"\n(?=  -)", capsys.readouterr().out)}
+    names = {f.name for f in fields(BenchConfig)}
+    checked = 0
+    for action in cli.build_parser().commands[command]._actions:
+        if action.dest in names and action.default is not None and action.nargs != 0:
+            shown = re.search(r"\(default (\S+)\)$", entries[action.option_strings[0]])
+            assert shown, action.option_strings[0]
+            assert (action.type or str)(shown[1]) == action.default
+            checked += 1
+    assert checked == {"segment": 10, "bench": 17, "sweep": 16}[command]
+
+
+@pytest.mark.parametrize("flag", [flag for flag, _ in OPTIMISER_CONSTANTS])
+def test_optimiser_constant_flags_are_refused(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    for argv in (["segment", "--in", "v.vxf", "--algo", "3dpifcm", "--out"],
+                 ["bench", "--report"], ["sweep", "--param", "h", "--grid", "1", "--out"]):
+        assert main([*argv, str(out), flag, "0.5", "--quiet"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key", dict.fromkeys(
+    name for flag, field in OPTIMISER_CONSTANTS
+    for name in (flag.lstrip("-").replace("-", "_"), field)))
+def test_optimiser_constant_config_keys_are_refused(tmp_path, capsys, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}=0.5\n")
+    out = tmp_path / "report.csv"
+    assert main(["bench", "--report", str(out), "--config", str(config)]) == 1
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_script_is_cli_main():
     # pyproject.toml is read as text: Python 3.10 has no tomllib
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
@@ -607,7 +667,7 @@ def bench_settings_from_config(monkeypatch, tmp_path, lines):
 def bench_settings_from_flags(monkeypatch, volume, truth):
     return captured_calls(monkeypatch, [
         "bench", "--max-iter", "77", "--swarm", "7", "--opt-iters", "3",
-        "--crossover", "0.7", "--mutation", "0.2", "--kinds", "gaussian,poisson",
+        "--m", "2.5", "--eps", "0.02", "--kinds", "gaussian,poisson",
         "--percents", "3,4", "--volume", volume, "--truth", truth])
 
 
@@ -615,7 +675,7 @@ def test_old_config_keys_still_accepted(assets, monkeypatch, tmp_path):
     # keys spelled as the long flags, not as the settings fields they fill
     volume, truth = str(assets["noisy"]), str(assets["truth"])
     from_file = bench_settings_from_config(monkeypatch, tmp_path, [
-        "max_iter=77", "swarm=7", "opt_iters=3", "crossover=0.7", "mutation=0.2",
+        "max_iter=77", "swarm=7", "opt_iters=3", "m=2.5", "eps=0.02",
         "kinds=gaussian,poisson", "percents=3,4", f"volume={volume}", f"truth={truth}"])
     assert from_file == bench_settings_from_flags(monkeypatch, volume, truth)
     assert from_file[0].generations == 3 and from_file[0].truth_path == truth
@@ -624,8 +684,8 @@ def test_old_config_keys_still_accepted(assets, monkeypatch, tmp_path):
 def test_field_name_config_keys_accepted(assets, monkeypatch, tmp_path):
     volume, truth = str(assets["noisy"]), str(assets["truth"])
     from_file = bench_settings_from_config(monkeypatch, tmp_path, [
-        "max_iterations=77", "swarm_size=7", "pso_max_iter=3", "crossover_rate=0.7",
-        "mutation_rate=0.2", "noise_kinds=gaussian,poisson", "noise_percents=3,4",
+        "max_iterations=77", "swarm_size=7", "pso_max_iter=3", "fuzziness=2.5",
+        "tolerance=0.02", "noise_kinds=gaussian,poisson", "noise_percents=3,4",
         f"volume_path={volume}", f"truth_path={truth}"])
     assert from_file == bench_settings_from_flags(monkeypatch, volume, truth)
 

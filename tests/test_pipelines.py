@@ -377,16 +377,18 @@ def test_probe_cost_never_rises_with_either_weight(three_d):
     propagate = _probe(ctx, start.membership, start.centers, CFG, params, 1)
     grid = np.linspace(0.0, 1.0, 11)
     for other in (0.0, 0.5, 1.0):
-        for costs in ([propagate(w, other)[2] for w in grid],
-                      [propagate(other, w)[2] for w in grid]):
+        for costs in ([propagate(w, other)[2]() for w in grid],
+                      [propagate(other, w)[2]() for w in grid]):
             assert all(b <= a + 1e-12 * abs(a) for a, b in zip(costs, costs[1:]))
 
 
 @pytest.mark.parametrize("steps", [1, 3])
 def test_tuned_segment_converges_from_the_winning_probe(monkeypatch, steps):
     # the loop starts from the probe re-run at the minimiser's pick: one
-    # probe beyond the search's evaluations, then the loop's iterations
-    counts = {"steps": 0, "evaluations": 0}
+    # probe beyond the search's evaluations, then the loop's iterations; a
+    # step's cost is computed once per evaluation and once for settle's
+    # result, never for the re-run probe
+    counts = {"steps": 0, "evaluations": 0, "costs": 0}
 
     def counted(name, real):
         def call(*args, **kwargs):
@@ -399,11 +401,13 @@ def test_tuned_segment_converges_from_the_winning_probe(monkeypatch, steps):
 
     monkeypatch.setattr(pipelines, "ifcm_step", counted("steps", ifcm_step))
     monkeypatch.setattr(pipelines, "pso_minimize", search)
+    monkeypatch.setattr(attraction, "jm_cost", counted("costs", jm_cost))
     noisy, _ = noisy_phantom(dims=(24, 24, 24), seed=6)
     ref = SliceRef("z", 12)
     res = pso_ifcm_3d(noisy, ref, 4, pso=PsoConfig(swarm_size=5, max_iter=2, seed=1),
                       probe_steps=steps)
     assert counts["steps"] == (counts["evaluations"] + 1) * steps + res.iterations
+    assert counts["costs"] == counts["evaluations"] + 1
     monkeypatch.undo()
     # the same bits as probing the winner again and converging from there
     ctx = slice_context(noisy, ref, 3, 1.1)
@@ -457,7 +461,7 @@ def test_probe_runs_ifcm_step_from_the_start(three_d):
             stepped = ifcm_step(ctx, *stepped[:2], params, CFG)[1:]
         assert np.array_equal(probed[0], stepped[0])
         assert np.array_equal(probed[1], stepped[1])
-        assert probed[2] == stepped[2]()
+        assert probed[2]() == stepped[2]()
 
 
 def test_geometry_defaults_are_attraction_params():
