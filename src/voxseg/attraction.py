@@ -95,10 +95,13 @@ def neighborhood_2d(level: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShellTable:
-    """Concentric 3-D offset shells, outermost last."""
+    """Concentric 3-D offset shells, outermost last; no offset is longer
+    than ``reach`` on any axis, so the shells of a slice reach no plane
+    further than ``reach`` from it."""
 
     shells: tuple[np.ndarray, ...]
     bands: tuple[tuple[int, int], ...]
+    reach: int
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -124,7 +127,7 @@ def build_shell_table(depth: int) -> ShellTable:
                    for dz in range(-reach, reach + 1)
                    if lo <= dx * dx + dy * dy + dz * dz <= hi]
         shells.append(np.array(sorted(members), dtype=np.intp))
-    return ShellTable(tuple(shells), bands)
+    return ShellTable(tuple(shells), bands, reach)
 
 
 # Padded positions per band of the gather: a (c, band) float64 buffer at a

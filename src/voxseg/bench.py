@@ -1,13 +1,14 @@
 """Benchmark harness: algorithm x noise matrix with CSV reporting.
 
-A run builds (or loads) the ground-truth volume once and cuts the truth
-to the scored slice, which checks the slice before any cell runs; a sweep
-is one run over every grid point.  The unit of work is one noise field:
-for each (kind, percent, seed) the run touches, :func:`prepare_field`
-corrupts the volume once and fits the GMM-seeded fuzzy c-means start of
-the slice once, and every cell on that field (each algorithm, and each
-grid point of an ``h`` or ``v`` sweep) segments from that shared start and
-scores the labels against the truth slice.  A cell's ``wall_time_ms`` is
+A run builds (or loads) its volume once and cuts the truth to the scored
+slice (of a truth file it reads only that plane), which checks the slice
+before any cell runs; a sweep is one run over every grid point.  The unit
+of work is one noise field: for each (kind, percent, seed) the run
+touches, :func:`prepare_field` corrupts the volume once and fits the
+GMM-seeded fuzzy c-means start of the slice once, and every cell on that
+field (each algorithm, and each grid point of an ``h`` or ``v`` sweep)
+segments from that shared start and scores the labels against the truth
+slice.  A cell's ``wall_time_ms`` is
 its field's noise-and-start time plus its own, so a row still reads as
 the cost of running that cell alone.  Rows come out in config order and
 all randomness is seeded per field and cell, so two runs of the same
@@ -37,7 +38,7 @@ from voxseg.optimize import GaConfig, PsoConfig
 from voxseg.phantom import PhantomSpec, generate_phantom
 from voxseg.pipelines import ALGORITHMS, segment
 from voxseg.volume import (MAX_CLUSTERS, LabelVolume, SliceRef, Volume, extract_slice,
-                           load_labels, load_volume)
+                           load_labels, load_volume, read_dims)
 
 SCORE_COLUMNS = ("cluster", "UnS", "OS", "IncS")
 REPORT_COLUMNS = ("algorithm", "noise_kind", "noise_percent", "seed", *SCORE_COLUMNS,
@@ -146,20 +147,28 @@ def resolve_slice(spec: str, dims: tuple[int, int, int]) -> SliceRef:
 
 
 def cut_to_plane(grid, ref: SliceRef, dims: tuple[int, int, int], what: str = "truth"):
-    """``grid`` as plane ``ref`` of a volume of ``dims``: kept when it has
-    the plane's dims, else cut by ``extract_slice``.  IndexError when ``ref``
-    lies outside ``dims`` or ``grid``; ValidationError when the cut lacks them."""
+    """``grid``, a label grid or the path of a label file, as plane ``ref`` of
+    a volume of ``dims``: kept whole when it has the plane's dims, else cut to
+    the plane, and of a file only what is kept is read.  IndexError when
+    ``ref`` lies outside ``dims`` or ``grid``; ValidationError when the cut lacks them."""
     plane = ref.plane_dims(dims)
-    cut = grid if grid.dims == plane else extract_slice(grid, ref)
+    if isinstance(grid, LabelVolume):
+        held = grid.dims
+        cut = grid if held == plane else extract_slice(grid, ref)
+    else:
+        held = read_dims(grid)
+        cut = load_labels(grid, None if held == plane else ref)
     if cut.dims != plane:
-        raise ValidationError(f"{what} dims {grid.dims} do not cover slice dims {plane}")
+        raise ValidationError(f"{what} dims {held} do not cover slice dims {plane}")
     return cut
 
 
 def _source(cfg: BenchConfig):
-    """The volume, its scored plane, and the truth cut to that plane."""
+    """The volume, its scored plane, and the truth cut to that plane.  Of a
+    truth file only that plane is read; the volume is read whole, since each
+    field's noise is drawn over all of it."""
     if cfg.volume_path is not None:
-        vol, truth = load_volume(cfg.volume_path), load_labels(cfg.truth_path)
+        vol, truth = load_volume(cfg.volume_path), cfg.truth_path
     else:
         vol, truth = generate_phantom(cfg.phantom_spec())
     ref = resolve_slice(cfg.slice_spec, vol.dims)

@@ -8,6 +8,8 @@ fields) fill in anything not given explicitly on the command line.
 
 --slice is "mid" (the middle z plane) or axis:index on every subcommand; a
 slice outside the volume, or one the truth does not cover, fails up front.
+segment reads only the planes its algorithm's neighbourhood reaches, and of
+a truth, as of eval --slice's inputs, only the scored plane.
 
 Exit codes: 0 on success, 1 for validation problems (bad flags, bad or
 unreadable inputs), 2 for runtime failures.  Output files are written
@@ -32,7 +34,9 @@ from voxseg.errors import ValidationError
 from voxseg.metrics import evaluate_labels
 from voxseg.noise import KINDS, NoiseSpec, add_noise
 from voxseg.phantom import PhantomSpec, generate_phantom
-from voxseg.volume import AXES, Volume, load_labels, load_volume, save_volume, write_pgm
+from voxseg.pipelines import plane_reach
+from voxseg.volume import (AXES, SliceRef, Volume, load_labels, load_volume, read_dims,
+                           save_volume, write_pgm)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -269,10 +273,10 @@ def _apply_config(parser, args, argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _load_input(loader, path):
+def _load_input(loader, path, *args):
     # unreadable or truncated inputs are the caller's mistake, exit code 1
     try:
-        return loader(path)
+        return loader(path, *args)
     except OSError as exc:
         raise ValidationError(str(exc)) from None
 
@@ -305,17 +309,20 @@ def cmd_noise(args) -> None:
 
 
 def cmd_segment(args) -> None:
-    vol = _load_input(load_volume, args.input)
-    ref = resolve_slice(args.slice_spec or ("z:60" if vol.dims[2] > 60 else "mid"),
-                        vol.dims)
-    # keep only the scored plane of the truth, checked before segmenting
-    truth_slice = (cut_to_plane(_load_input(load_labels, args.truth), ref, vol.dims)
-                   if args.truth else None)
-
+    dims = _load_input(read_dims, args.input)
+    ref = resolve_slice(args.slice_spec or ("z:60" if dims[2] > 60 else "mid"), dims)
     settings = _settings(args, "slice_spec")
+    # read only the planes the neighbourhood reaches, and segment the slice
+    # at its place among them
+    reach = plane_reach(args.algorithm, settings.attraction_params())
+    vol = _load_input(load_volume, args.input, ref, reach)
+    at = SliceRef(ref.axis, ref.index - ref.window(dims, reach).start)
+    # and only the scored plane of the truth, checked before segmenting
+    truth_slice = _load_input(cut_to_plane, args.truth, ref, dims) if args.truth else None
+
     fixed = (None if args.feature_weight is None
              else (args.feature_weight, args.spatial_weight))
-    result = settings.segment(args.algorithm, vol, ref, args.seed, fixed)
+    result = settings.segment(args.algorithm, vol, at, args.seed, fixed)
     labels = result.labels
     scores = (None if truth_slice is None
               else evaluate_labels(labels, truth_slice, settings.cluster_count))
@@ -338,15 +345,18 @@ def cmd_segment(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    pred = _load_input(load_labels, args.pred)
-    truth = _load_input(load_labels, args.truth)
+    ref = None
     if args.slice_spec:
-        # a plane of the larger input; inputs one plane deep on the axis stay as they are
-        dims = tuple(map(max, pred.dims, truth.dims))
+        # a plane of the larger input, the only one read; inputs one plane
+        # deep on the axis stay as they are
+        dims = tuple(map(max, *(_load_input(read_dims, path)
+                                for path in (args.pred, args.truth))))
         ref = resolve_slice(args.slice_spec, dims)
-        if dims[AXES[ref.axis]] > 1:
-            pred = cut_to_plane(pred, ref, dims, "prediction")
-            truth = cut_to_plane(truth, ref, dims)
+    if ref is not None and dims[AXES[ref.axis]] > 1:
+        pred = _load_input(cut_to_plane, args.pred, ref, dims, "prediction")
+        truth = _load_input(cut_to_plane, args.truth, ref, dims)
+    else:
+        pred, truth = (_load_input(load_labels, path) for path in (args.pred, args.truth))
     if pred.dims != truth.dims:
         raise ValidationError(f"prediction dims {pred.dims} do not match "
                               f"truth dims {truth.dims}")

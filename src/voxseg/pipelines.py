@@ -13,7 +13,8 @@ Plain ``fcm`` takes no weights and skips that loop: its start is its answer.
 ``wall_time`` covers all four stages, though not the fit of a given start.
 Every result names why its loop stopped and takes its labels from
 :func:`voxseg.metrics.defuzzify`.
-:func:`segment` picks the algorithm by id for the CLI and the benchmark.
+:func:`segment` picks the algorithm by id for the CLI and the benchmark, and
+:func:`plane_reach` says how many planes on each side of the slice it reads.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from voxseg.attraction import (AttractionParams, NeighbourContext, ifcm_step,
-                               plane_context, slice_context)
+from voxseg.attraction import (AttractionParams, NeighbourContext, build_shell_table,
+                               ifcm_step, plane_context, slice_context)
 from voxseg.errors import ValidationError
 from voxseg.fcm import FcmConfig, FcmResult, check_membership, fcm, gmm_init, settle
 from voxseg.metrics import defuzzify
@@ -198,6 +199,12 @@ def pso_ifcm_3d(vol: Volume, ref: SliceRef, clusters: int,
     return _pipeline(lambda: slice_context(vol, ref, depth, decay), clusters, cfg,
                      AttractionParams(depth=depth, decay=decay), fixed,
                      (pso_minimize, pso or PsoConfig()), init, probe_steps)
+
+
+def plane_reach(algorithm: str, params: AttractionParams) -> int:
+    """How many planes on each side of its slice :func:`segment` reads: the
+    shells' reach for ``3dpifcm``, none for the in-plane algorithms."""
+    return build_shell_table(params.depth).reach if algorithm == "3dpifcm" else 0
 
 
 def segment(algorithm: str, vol: Volume, ref: SliceRef, clusters: int,

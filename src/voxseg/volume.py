@@ -27,13 +27,22 @@ type adds its own value checks.  VXF layout (integers little-endian)::
     type          code  payload  header fields
     Volume        1     <f4      intensity_max
     LabelVolume   2     <u1      -
+
+A load reads the payload one file plane (one z) at a time and checks every
+voxel of the file, whatever it keeps: with a :class:`SliceRef` and a reach
+it keeps only the planes within that reach of the slice along its axis,
+clipped to the volume, and without one it keeps every plane.  So ``voxseg
+segment`` reads the planes its neighbourhood reaches (the slice alone for
+the 2-D algorithms, one or two planes on each side for ``3dpifcm``), and
+a truth, or ``eval --slice``'s two inputs, only the scored plane.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -97,6 +106,11 @@ class _Grid:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    for f in fields(self))
 
+    @staticmethod
+    def _check_range(lowest, highest, *scalars):
+        """The type's checks on values spanning [lowest, highest] and on its
+        scalar fields, for a load that reads the values in parts; none here."""
+
 
 @dataclass(frozen=True, eq=False)
 class Volume(_Grid):
@@ -111,21 +125,28 @@ class Volume(_Grid):
     def _checked(self, data: np.ndarray) -> np.ndarray:
         # NaN propagates through min and max and any infinity is an extreme,
         # so two reductions check every voxel without full-size temporaries
-        lowest, highest = float(data.min()), float(data.max())
+        object.__setattr__(self, "intensity_max",
+                           self._check_range(data.min(), data.max(), self.intensity_max))
+        return data
+
+    @staticmethod
+    def _check_range(lowest, highest, intensity_max) -> float:
+        """``intensity_max`` as the f32 header field keeps it, once it and
+        intensities spanning [lowest, highest] pass (NaN fails as not finite)."""
+        lowest, highest = float(lowest), float(highest)
         if not (np.isfinite(lowest) and np.isfinite(highest)):
             raise ValidationError("intensities must be finite")
         if lowest < 0:
             raise ValidationError("intensities must be non-negative")
         # round-trips through the f32 header field must be exact
-        imax = float(np.float32(self.intensity_max))
+        imax = float(np.float32(intensity_max))
         if not np.isfinite(imax) or imax <= 0:
             raise ValidationError("intensity_max must be positive and finite")
         if imax < highest:
             raise ValidationError(
                 f"intensity_max {imax} is below the largest intensity {highest}"
             )
-        object.__setattr__(self, "intensity_max", imax)
-        return data
+        return imax
 
     def plane(self) -> np.ndarray:
         """2-D view of a single-slice volume, squeezing the axis of extent 1
@@ -187,6 +208,14 @@ class SliceRef:
             raise IndexError(f"slice {self.axis}:{self.index} out of range for dims {dims}")
         return tuple(1 if a == axis else n for a, n in enumerate(dims))
 
+    def window(self, dims: tuple[int, int, int], reach: int = 0) -> range:
+        """Indices along the axis of the planes within ``reach`` of this one,
+        clipped to ``dims``."""
+        if int(reach) < 0:
+            raise ValidationError(f"reach must be non-negative, got {reach}")
+        return range(max(self.index - int(reach), 0),
+                     min(self.index + int(reach) + 1, dims[AXES[self.axis]]))
+
 
 def extract_slice(v: Volume | LabelVolume, ref: SliceRef):
     """Single-plane copy of ``v``; the sliced axis keeps extent 1.
@@ -217,48 +246,83 @@ def save_volume(v: Volume | LabelVolume, path) -> None:
         fh.write(v.flat().astype(payload, copy=False))
 
 
-def _load(path, want):
-    # the payload is read once, into the bytes object the grid keeps
-    size = Path(path).stat().st_size
+def _header(fh, path):
+    """The grid type, dims and header fields of the VXF file open as ``fh``,
+    left at its payload, once the header and the file's size pass."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(4 + _HEADER.size + 4)
+    if len(head) < 4 or head[:4] != _MAGIC:
+        raise FormatError(f"{path}: not a VXF file (bad magic)")
+    if len(head) < 4 + _HEADER.size:
+        raise FormatError(f"{path}: truncated header")
+    code, nx, ny, nz = _HEADER.unpack_from(head, 4)
+    kind = {row[0]: k for k, row in _VXF.items()}.get(code)
+    if kind is None:
+        raise FormatError(f"{path}: unknown dtype code {code}")
+    _, payload, names, _ = _VXF[kind]
+    offset = 4 + _HEADER.size + 4 * len(names)
+    if len(head) < offset:
+        raise FormatError(f"{path}: truncated header")
+    scalars = struct.unpack_from(f"<{len(names)}f", head, 4 + _HEADER.size)
+    if min(nx, ny, nz) < 1:
+        raise FormatError(f"{path}: non-positive dims {(nx, ny, nz)}")
+    nbytes = nx * ny * nz * np.dtype(payload).itemsize
+    expected = offset + nbytes
+    if size < expected:
+        raise OSError(f"{path}: truncated payload ({size - offset} of {nbytes} bytes)")
+    if size > expected:
+        raise FormatError(f"{path}: {size - expected} trailing bytes after payload")
+    fh.seek(offset)
+    return kind, (nx, ny, nz), scalars
+
+
+def read_dims(path) -> tuple[int, int, int]:
+    """The dims in the header of VXF file ``path``, once its header and size
+    pass the checks a load makes."""
     with open(path, "rb") as fh:
-        head = fh.read(4 + _HEADER.size + 4)
-        if len(head) < 4 or head[:4] != _MAGIC:
-            raise FormatError(f"{path}: not a VXF file (bad magic)")
-        if len(head) < 4 + _HEADER.size:
-            raise FormatError(f"{path}: truncated header")
-        code, nx, ny, nz = _HEADER.unpack_from(head, 4)
-        kind = {row[0]: k for k, row in _VXF.items()}.get(code)
-        if kind is None:
-            raise FormatError(f"{path}: unknown dtype code {code}")
-        _, payload, names, holds = _VXF[kind]
-        offset = 4 + _HEADER.size + 4 * len(names)
-        if len(head) < offset:
-            raise FormatError(f"{path}: truncated header")
-        scalars = struct.unpack_from(f"<{len(names)}f", head, 4 + _HEADER.size)
-        if min(nx, ny, nz) < 1:
-            raise FormatError(f"{path}: non-positive dims {(nx, ny, nz)}")
-        nbytes = nx * ny * nz * np.dtype(payload).itemsize
-        expected = offset + nbytes
-        if size < expected:
-            raise OSError(f"{path}: truncated payload ({size - offset} of {nbytes} bytes)")
-        if size > expected:
-            raise FormatError(f"{path}: {size - expected} trailing bytes after payload")
-        fh.seek(offset)
-        raw = fh.read(nbytes)
-    grid = kind.from_flat((nx, ny, nz), np.frombuffer(raw, dtype=payload), *scalars)
+        return _header(fh, path)[1]
+
+
+def _load(path, want, ref: SliceRef | None, reach: int):
+    with open(path, "rb", buffering=0) as fh:
+        kind, dims, scalars = _header(fh, path)
+        payload = np.dtype(_VXF[kind][1])
+        keep = [slice(0, n) for n in dims]
+        if ref is not None:
+            planes = ref.window(dims, reach)
+            keep[AXES[ref.axis]] = slice(planes.start, planes.stop)
+        # every voxel of the file is checked, one file plane at a time, in one
+        # buffer; what is kept goes into another, which getvalue hands the grid
+        buffer = bytearray(dims[0] * dims[1] * payload.itemsize)
+        plane = np.frombuffer(buffer, payload).reshape(dims[:2], order="F")
+        kept, lows, highs = io.BytesIO(), [], []
+        for z in range(dims[2]):
+            if fh.readinto(buffer) != len(buffer):
+                raise OSError(f"{path}: truncated payload")
+            lows.append(plane.min())
+            highs.append(plane.max())
+            if keep[2].start <= z < keep[2].stop:
+                # transposed C order is the file's x-fastest order
+                kept.write(np.ascontiguousarray(plane[keep[0], keep[1]].T))
+    kind._check_range(np.min(lows), np.max(highs), *scalars)
     if kind is not want:
-        raise ValidationError(f"{path} holds {holds}, not {_VXF[want][3]}")
-    return grid
+        raise ValidationError(f"{path} holds {_VXF[kind][3]}, not {_VXF[want][3]}")
+    if ref is not None:
+        ref.plane_dims(dims)  # IndexError when the slice lies outside the file
+    return kind.from_flat(tuple(s.stop - s.start for s in keep),
+                          np.frombuffer(kept.getvalue(), payload), *scalars)
 
 
-def load_volume(path) -> Volume:
-    """Load an intensity volume; rejects label files."""
-    return _load(path, Volume)
+def load_volume(path, ref: SliceRef | None = None, reach: int = 0) -> Volume:
+    """Load an intensity volume, or with ``ref`` only its planes within
+    ``reach`` of that slice; rejects label files."""
+    return _load(path, Volume, ref, reach)
 
 
-def load_labels(path) -> LabelVolume:
-    """Load a label volume; rejects intensity files."""
-    return _load(path, LabelVolume)
+def load_labels(path, ref: SliceRef | None = None, reach: int = 0) -> LabelVolume:
+    """Load a label volume, or with ``ref`` only its planes within ``reach``
+    of that slice; rejects intensity files."""
+    return _load(path, LabelVolume, ref, reach)
 
 
 def write_pgm(v: Volume, path) -> None:

@@ -277,6 +277,21 @@ class TestRunBenchmark:
         run_sweep(cfg, "h", (1.0, 1.5, 2.0), "3dpifcm")
         assert builds == once
 
+    @pytest.mark.parametrize("spec, plane", [("mid", (24, 24, 1)), ("x:0", (1, 24, 24))])
+    def test_only_the_truths_scored_plane_is_read(self, tmp_path, monkeypatch, spec, plane):
+        # the volume is read whole, as each field's noise is drawn over all of it
+        cfg = external_config(tmp_path, small_config(slice_spec=spec))
+        read = []
+        for name in ("load_volume", "load_labels"):
+            def spy(*args, real=getattr(bench, name)):
+                grid = real(*args)
+                read.append(grid.dims)
+                return grid
+            monkeypatch.setattr(bench, name, spy)
+        run_benchmark(cfg)
+        run_sweep(cfg, "percent", (5.0,), "fcm")
+        assert read == [(24, 24, 24), plane] * 2
+
     def test_threaded_sweep_opens_one_pool(self, monkeypatch):
         # one pool for the whole grid; its workers get the source once, so
         # each task carries only its configs and field: the run's config, the

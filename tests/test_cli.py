@@ -4,7 +4,6 @@ import csv
 import re
 import subprocess
 import sys
-import weakref
 from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
@@ -13,8 +12,9 @@ import numpy as np
 import pytest
 
 from voxseg import bench, cli
-from voxseg.bench import (ALGORITHMS, COMPARISON_COLUMNS, REPORT_COLUMNS,
-                          SWEEP_COLUMNS, BenchConfig, run_benchmark)
+from voxseg.attraction import AttractionParams
+from voxseg.bench import (ALGORITHMS, COMPARISON_COLUMNS, REPORT_COLUMNS, SCORE_COLUMNS,
+                          SWEEP_COLUMNS, BenchConfig, run_benchmark, score_rows, write_csv)
 from voxseg.cli import main
 from voxseg.fcm import FcmConfig, gmm_fcm
 from voxseg.metrics import defuzzify, evaluate_labels
@@ -193,30 +193,94 @@ def test_segment_rejects_probe_steps_below_one(assets, tmp_path, capsys, steps):
     assert not report.exists()
 
 
-def test_segment_holds_only_the_truth_slice(assets, tmp_path, monkeypatch, capsys):
-    # the whole label volume is dropped before segmentation starts
-    loaded, held = [], []
+@pytest.fixture
+def reads(monkeypatch):
+    """(type, dims) of every grid the front ends load, through either module."""
+    seen = []
+    for module, name in product((bench, cli), ("load_volume", "load_labels")):
+        def spy(*args, real=getattr(module, name)):
+            grid = real(*args)
+            seen.append((type(grid).__name__, grid.dims))
+            return grid
+        monkeypatch.setattr(module, name, spy)
+    return seen
 
-    def load(path):
-        truth = load_labels(path)
-        loaded.append(weakref.ref(truth))
-        return truth
 
-    def spy(*args, **kwargs):
-        held.extend(ref() is not None for ref in loaded)
-        return segment(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "load_labels", load)
-    monkeypatch.setattr(bench, "segment", spy)
+def test_segment_holds_only_the_truth_slice(assets, tmp_path, reads, capsys):
+    # no full-size truth is ever read: only its scored plane, and for fcm
+    # only that plane of the volume
     code = main(["segment", "--in", str(assets["noisy"]), "--algo", "fcm",
                  "--slice", "z:12", "--c", "2", "--out", str(tmp_path / "seg.vxf"),
                  "--truth", str(assets["truth"]),
                  "--metrics", str(tmp_path / "seg.csv")])
     assert code == 0
-    assert held == [False]
+    assert reads == [("Volume", (24, 24, 1)), ("LabelVolume", (24, 24, 1))]
     # the log names why the run stopped, after the iteration count
     assert re.search(r"z:12: \d+ iterations, stop=converged, -, wrote",
                      capsys.readouterr().err)
+
+
+@pytest.fixture(scope="module")
+def box(tmp_path_factory):
+    """A noisy 14 x 12 x 10 phantom and a truth with both labels on every plane."""
+    root = tmp_path_factory.mktemp("box")
+    vol, _ = generate_phantom(PhantomSpec(dims=(14, 12, 10), num_shells=2))
+    truth = LabelVolume(vol.dims, np.random.default_rng(9).integers(0, 2, vol.dims))
+    save_volume(add_noise(vol, NoiseSpec("gaussian", 8.0, 0)), root / "noisy.vxf")
+    save_volume(truth, root / "truth.vxf")
+    return root
+
+
+@pytest.mark.parametrize("algorithm, depth", [("fcm", 3), ("ifcmpso", 3),
+                                              ("3dpifcm", 3), ("3dpifcm", 5)])
+@pytest.mark.parametrize("axis", "xyz")
+@pytest.mark.parametrize("where", ["first", "inner", "last"])
+def test_segment_of_the_planes_in_reach_writes_the_whole_volume_outputs(
+        box, tmp_path, reads, algorithm, depth, axis, where):
+    # the CLI reads the planes the algorithm's neighbourhood reaches and the
+    # truth's plane; its files are byte for byte those of pipelines.segment
+    # run on the whole volume
+    dims = (14, 12, 10)
+    n = dims["xyz".index(axis)]
+    ref = SliceRef(axis, {"first": 0, "inner": 1, "last": n - 1}[where])
+    flags = ["--slice", f"{axis}:{ref.index}", "--c", "2", "--v", str(depth),
+             "--swarm", "4", "--opt-iters", "2", "--seed", "0", "--quiet"]
+    got = {name: tmp_path / f"cli.{name}" for name in ("vxf", "npy", "csv")}
+    assert main(["segment", "--in", str(box / "noisy.vxf"), "--algo", algorithm,
+                 "--out", str(got["vxf"]), "--membership", str(got["npy"]),
+                 "--truth", str(box / "truth.vxf"), "--metrics", str(got["csv"]),
+                 *flags]) == 0
+    reach = {3: 1, 5: 2}[depth] if algorithm == "3dpifcm" else 0
+    slab = tuple(len(ref.window(dims, reach)) if a == axis else d
+                 for a, d in zip("xyz", dims))
+    plane = ref.plane_dims(dims)
+    assert reads == [("Volume", slab), ("LabelVolume", plane)]
+
+    result = segment(algorithm, load_volume(box / "noisy.vxf"), ref, 2, FcmConfig(),
+                     AttractionParams(depth=depth), PsoConfig(swarm_size=4, max_iter=2, seed=0))
+    want = {name: tmp_path / f"lib.{name}" for name in ("vxf", "npy", "csv")}
+    save_volume(result.labels, want["vxf"])
+    np.save(want["npy"], result.membership)
+    truth = extract_slice(load_labels(box / "truth.vxf"), ref)
+    write_csv(score_rows(evaluate_labels(result.labels, truth, 2)), SCORE_COLUMNS, want["csv"])
+    for name in want:
+        assert got[name].read_bytes() == want[name].read_bytes(), name
+
+
+def test_eval_slice_reads_only_the_scored_plane(box, tmp_path, reads):
+    pred = box / "truth.vxf"
+    shifted = tmp_path / "shifted.vxf"
+    labels = load_labels(pred).labels
+    save_volume(LabelVolume(labels.shape, np.roll(labels, 1, axis=1)), shifted)
+    got, want = tmp_path / "eval.csv", tmp_path / "whole.csv"
+    assert main(["eval", "--pred", str(shifted), "--truth", str(pred), "--slice", "y:4",
+                 "--out", str(got), "--quiet"]) == 0
+    assert reads == [("LabelVolume", (14, 1, 10))] * 2
+    ref = SliceRef("y", 4)
+    scores = evaluate_labels(extract_slice(load_labels(shifted), ref),
+                             extract_slice(load_labels(pred), ref), 2)
+    write_csv(score_rows(scores), SCORE_COLUMNS, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_segment_rejects_truth_that_does_not_cover_the_slice(assets, tmp_path,

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from voxseg.attraction import build_shell_table
 from voxseg.errors import FormatError, ValidationError
-from voxseg.volume import (LabelVolume, SliceRef, Volume, extract_slice,
-                           load_labels, load_volume, save_volume, write_pgm)
+from voxseg.volume import (LabelVolume, SliceRef, Volume, extract_slice, load_labels,
+                           load_volume, read_dims, save_volume, write_pgm)
 
 
 # each grid type: a constructor from (dims, array), its array field, the
@@ -293,3 +294,109 @@ def test_write_pgm_bytes(tmp_path):
     assert raw.startswith(header)
     # raster rows run along y, so the plane is emitted transposed
     assert list(raw[len(header):]) == [0, 102, 94, 255, 255, 5]
+
+
+# (axis, index, reach) over every plane of a 5 x 4 x 6 grid, reach 0 to 2
+SLABS = [(axis, index, reach) for axis, n in zip("xyz", (5, 4, 6))
+         for index in range(n) for reach in range(3)]
+
+
+@pytest.mark.parametrize("kind", GRIDS)
+def test_slab_read_is_the_cut_of_the_whole_read(tmp_path, kind):
+    make, field, dtype, _, load = GRIDS[kind]
+    path = tmp_path / "x.vxf"
+    data = np.random.default_rng(7).uniform(0, 100, size=(5, 4, 6)).astype(dtype)
+    save_volume(make(data.shape, data), path)
+    assert read_dims(path) == data.shape
+    for axis, index, reach in SLABS:
+        ref = SliceRef(axis, index)
+        planes = ref.window(data.shape, reach)
+        assert planes == range(max(index - reach, 0),
+                               min(index + reach + 1, data.shape["xyz".index(axis)]))
+        slab = load(path, ref, reach)
+        assert type(slab) is type(load(path))
+        assert np.array_equal(getattr(slab, field), data.take(planes, axis="xyz".index(axis)))
+        assert not getattr(slab, field).flags.writeable
+        if kind == "volume":
+            assert slab.intensity_max == 100.0
+
+
+def _damaged(tmp_path, voxel, value):
+    """A 4 x 3 x 5 volume file, intensity_max 100, with ``value`` written
+    over ``voxel`` straight into the payload."""
+    path = tmp_path / "x.vxf"
+    save_volume(Volume((4, 3, 5), np.full((4, 3, 5), 50.0), 100.0), path)
+    raw = bytearray(path.read_bytes())
+    x, y, z = voxel
+    at = len(raw) - 4 * 60 + 4 * (x + 4 * (y + 3 * z))
+    raw[at:at + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "intensities must be finite"), (np.inf, "intensities must be finite"),
+    (-1.0, "intensities must be non-negative"),
+    (250.0, "intensity_max 100.0 is below the largest intensity 250.0")])
+@pytest.mark.parametrize("ref", [SliceRef("z", 0), SliceRef("x", 0), SliceRef("y", 2)])
+def test_slab_read_checks_every_voxel_of_the_file(tmp_path, value, message, ref):
+    # the bad voxel lies in plane z:4 at x:3, y:0, outside every slab read here
+    path = _damaged(tmp_path, (3, 0, 4), value)
+    with pytest.raises(ValidationError) as whole:
+        load_volume(path)
+    assert str(whole.value) == message
+    with pytest.raises(ValidationError) as slab:
+        load_volume(path, ref, 1)
+    assert str(slab.value) == message
+
+
+def test_slab_read_checks_before_the_kind_and_the_slice(tmp_path):
+    # as a whole read: the values, then the kind, then the slice
+    path = _damaged(tmp_path, (0, 0, 4), np.nan)
+    for ref in (SliceRef("z", 0), SliceRef("z", 9)):
+        with pytest.raises(ValidationError, match="finite"):
+            load_labels(path, ref, 1)
+    good = tmp_path / "good.vxf"
+    save_volume(Volume((4, 3, 5), np.ones((4, 3, 5)), 2.0), good)
+    with pytest.raises(ValidationError, match="holds intensities, not labels"):
+        load_labels(good, SliceRef("z", 9))
+    with pytest.raises(IndexError, match=r"slice z:9 out of range for dims \(4, 3, 5\)"):
+        load_volume(good, SliceRef("z", 9))
+    with pytest.raises(ValidationError, match="reach must be non-negative"):
+        load_volume(good, SliceRef("z", 1), -1)
+
+
+@pytest.mark.parametrize("labels", [False, True])
+def test_slab_read_of_a_damaged_file_fails_as_a_whole_read(tmp_path, labels):
+    path = tmp_path / "x.vxf"
+    save_volume(LabelVolume((2, 2, 4), np.ones((2, 2, 4), dtype=np.uint8)) if labels
+                else Volume((2, 2, 4), np.ones((2, 2, 4)), 2.0), path)
+    load = load_labels if labels else load_volume
+    raw = path.read_bytes()
+    payload = 16 if labels else 64
+    for damaged, error, message in (
+            (raw[:-5], OSError, f"truncated payload \\({payload - 5} of {payload} bytes\\)"),
+            (raw + b"\x00\x00", FormatError, "2 trailing bytes after payload"),
+            (raw[:10], FormatError, "truncated header")):
+        path.write_bytes(damaged)
+        for read in (read_dims, load, lambda p: load(p, SliceRef("z", 0), 1)):
+            with pytest.raises(error, match=message):
+                read(path)
+
+
+@pytest.mark.parametrize("axis", "xyz")
+def test_slab_read_holds_the_slab_and_one_plane(tmp_path, axis):
+    # a depth-3 slab of a 64^3 volume is 3 of its 64 planes; the file is
+    # checked one plane at a time, so the read peaks below a tenth of it
+    path = tmp_path / "x.vxf"
+    data = np.random.default_rng(8).uniform(0, 100, size=(64, 64, 64)).astype(np.float32)
+    save_volume(Volume(data.shape, data, 100.0), path)
+    reach = build_shell_table(3).reach
+    tracemalloc.start()
+    try:
+        slab = load_volume(path, SliceRef(axis, 31), reach)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slab.data.shape["xyz".index(axis)] == 2 * reach + 1 == 3
+    assert peak < 0.1 * data.nbytes
