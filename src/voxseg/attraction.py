@@ -180,14 +180,11 @@ class NeighbourContext:
     denominator divided by that q^2, which is exact.
     """
 
-    def __init__(self, planes: np.ndarray, z: int, shells, weights,
-                 label_dims: tuple[int, int, int], intensity_max: float | None):
+    def __init__(self, planes: np.ndarray, z: int, shells, weights):
         nx, ny, nz = planes.shape
         self.shape = (nx, ny)
         self.data = planes[:, :, z].astype(np.float64, order="F").ravel(order="F")
         self.offsets = np.concatenate(shells)
-        self.label_dims = label_dims
-        self.intensity_max = intensity_max
         self._z = z
         self._members = None  # the padded membership buffers, per plane
         self._pad = pad = int(np.abs(self.offsets[:, :2]).max())
@@ -310,16 +307,12 @@ class PlaneContext(NeighbourContext):
     one-plane stack with a single shell, the level's in-plane offsets at dz = 0."""
 
     def __init__(self, img: Volume | np.ndarray, level: int = AttractionParams.level):
-        if isinstance(img, Volume):
-            plane, dims, intensity_max = img.plane(), img.dims, img.intensity_max
-        else:
-            plane, intensity_max = np.asarray(img), None
-            if plane.ndim != 2:
-                raise ValidationError(f"plane must be 2-D, got shape {plane.shape}")
-            dims = (*plane.shape, 1)
+        plane = img.plane() if isinstance(img, Volume) else np.asarray(img)
+        if plane.ndim != 2:
+            raise ValidationError(f"plane must be 2-D, got shape {plane.shape}")
         flat = neighborhood_2d(level)
         shell = np.column_stack([flat, np.zeros(len(flat), dtype=np.intp)])
-        super().__init__(plane[:, :, None], 0, (shell,), (1.0,), dims, intensity_max)
+        super().__init__(plane[:, :, None], 0, (shell,), (1.0,))
 
 
 class SliceContext(NeighbourContext):
@@ -328,10 +321,8 @@ class SliceContext(NeighbourContext):
 
     def __init__(self, vol: Volume, ref: SliceRef, depth: int = AttractionParams.depth,
                  decay: float = AttractionParams.decay):
-        dims = ref.plane_dims(vol.dims)
         super().__init__(np.moveaxis(vol.data, AXES[ref.axis], 2), ref.index,
-                         build_shell_table(depth).shells, decay_weights(decay, depth),
-                         dims, vol.intensity_max)
+                         build_shell_table(depth).shells, decay_weights(decay, depth))
 
 
 # the factory names the pipelines call are the classes themselves

@@ -5,7 +5,8 @@ slice (of a truth file it reads only that plane), which checks the slice
 before any cell runs; a sweep is one run over every grid point.  The unit
 of work is one noise field: for each (kind, percent, seed) the run
 touches, :func:`prepare_field` corrupts the volume once and fits the
-GMM-seeded fuzzy c-means start of the slice once, and every cell on that
+slice's start once, with :func:`voxseg.fcm.gmm_fcm` as every pipeline
+fits it, and every cell on that
 field (each algorithm, and each grid point of an ``h`` or ``v`` sweep)
 segments from that shared start and scores the labels against the truth
 slice.  A cell's ``wall_time_ms`` is
@@ -204,7 +205,8 @@ class Field(NamedTuple):
 
 def prepare_field(cfg: BenchConfig, source, kind: str, percent: float, seed: int) -> Field:
     """``source``, the run's (volume, slice, truth slice), corrupted once at one noise
-    setting, with the start fitted once on its slice; a failure is kept for the cells."""
+    setting, with the start every algorithm would fit, the :func:`gmm_fcm` fit of
+    its slice, fitted once; a failure is kept for the cells."""
     vol, ref, truth = source
     started = time.perf_counter()
     noisy = start = failure = None

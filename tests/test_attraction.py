@@ -14,7 +14,7 @@ from voxseg.attraction import (AttractionParams, FACTOR_FLOOR, PlaneContext,
 from voxseg.errors import ValidationError
 from voxseg.fcm import FcmConfig, jm_cost, update_centers, update_membership
 from voxseg.metrics import defuzzify
-from voxseg.volume import SliceRef, Volume
+from voxseg.volume import SliceRef, Volume, extract_slice
 
 
 def test_decay_weight_values():
@@ -423,7 +423,7 @@ def test_slice_context_reads_only_the_planes_its_shells_reach(axis, depth):
 @pytest.mark.parametrize("dims", [(6, 5, 1), (1, 6, 5), (6, 1, 5)])
 def test_plane_context_from_a_single_slice_volume(dims):
     # a float32 single-slice volume and its plane as a float64 array give the
-    # same terms; the volume's context carries its dims and intensity_max
+    # same terms
     rng = np.random.default_rng(25)
     vol = Volume(dims, rng.uniform(0, 90, size=dims), 100.0)
     from_volume, from_array = PlaneContext(vol, 3), PlaneContext(
@@ -434,17 +434,19 @@ def test_plane_context_from_a_single_slice_volume(dims):
     for a, b in zip(from_volume.attraction_terms(u, np.array([30.0, 60.0]), 2.0),
                     from_array.attraction_terms(u, np.array([30.0, 60.0]), 2.0)):
         assert np.array_equal(a, b)
-    assert (from_volume.label_dims, from_volume.intensity_max) == (dims, 100.0)
-    assert (from_array.label_dims, from_array.intensity_max) == ((*vol.plane().shape, 1), None)
 
 
 def test_labels_volume_embedding():
     rng = np.random.default_rng(18)
     grid = rng.uniform(0, 100, size=(3, 4, 5))
     vol = Volume((3, 4, 5), grid, 100.0)
-    ctx = slice_context(vol, SliceRef("y", 2), 2, 1.1)
+    ref = SliceRef("y", 2)
+    sl = extract_slice(vol, ref)
+    # the context's voxels are the slice's, in its flat order, so memberships
+    # fitted through the context label the slice
+    assert np.array_equal(slice_context(vol, ref, 2, 1.1).data, sl.flat())
     flat = np.arange(15) % 3
-    lab = defuzzify(np.eye(3)[flat], ctx.label_dims)
+    lab = defuzzify(np.eye(3)[flat], sl.dims)
     assert lab.dims == (3, 1, 5)
     grid_lab = flat.reshape(3, 5, order="F")
     assert np.array_equal(np.squeeze(lab.labels, axis=1), grid_lab)

@@ -2,6 +2,7 @@
 
 import inspect
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from voxseg.metrics import defuzzify, evaluate_labels
 from voxseg.noise import NoiseSpec, add_noise
 from voxseg.optimize import GaConfig, OptResult, PsoConfig, pso_minimize
 from voxseg.phantom import PhantomSpec, generate_phantom
-from voxseg.pipelines import (ALGORITHMS, _initial_state, _probe, ga_ifcm, ifcm,
-                               pso_ifcm, pso_ifcm_3d, segment)
+from voxseg.pipelines import (ALGORITHMS, _probe, ga_ifcm, ifcm, pso_ifcm, pso_ifcm_3d,
+                               segment)
 from voxseg.volume import SliceRef, extract_slice
 
 CFG = FcmConfig()
@@ -263,14 +264,15 @@ def test_segment_rejects_more_clusters_than_uint8_labels_carry():
 
 
 def test_wall_time_covers_the_start(monkeypatch):
-    # each algorithm's clock covers its context and its start: both are slowed
+    # each algorithm's clock covers its start and, but for plain fcm, which
+    # builds none, its context: both are slowed
     def slow(real):
         def call(*args):
             time.sleep(0.2)
             return real(*args)
         return call
 
-    for name, real in (("_initial_state", _initial_state), ("plane_context", plane_context),
+    for name, real in (("gmm_fcm", gmm_fcm), ("plane_context", plane_context),
                        ("slice_context", slice_context)):
         monkeypatch.setattr(pipelines, name, slow(real))
     noisy, _ = noisy_phantom(dims=(16, 16, 16))
@@ -278,7 +280,55 @@ def test_wall_time_covers_the_start(monkeypatch):
         res = segment(algorithm, noisy, SliceRef("z", 8), 2, FcmConfig(max_iterations=3),
                       AttractionParams(0.5, 0.5), PsoConfig(swarm_size=2, max_iter=1),
                       GaConfig(population=2, generations=1))
-        assert res.wall_time >= 0.4, algorithm
+        assert res.wall_time >= (0.2 if algorithm == "fcm" else 0.4), algorithm
+
+
+def test_plain_fcm_builds_no_context(monkeypatch):
+    for name in ("plane_context", "slice_context"):
+        monkeypatch.setattr(pipelines, name, lambda *args: pytest.fail("a context was built"))
+    noisy, _ = noisy_phantom(dims=(16, 16, 16))
+    ref = SliceRef("z", 8)
+    res = segment("fcm", noisy, ref, 4, CFG)
+    assert np.array_equal(res.membership, gmm_fcm(extract_slice(noisy, ref), 4, CFG).membership)
+
+
+def test_entries_take_single_slice_volumes_only(monkeypatch):
+    # one type check for every entry, and a volume of several planes fails
+    # in its context, before any fit
+    monkeypatch.setattr(pipelines, "gmm_fcm", lambda *args: pytest.fail("a fit ran"))
+    noisy, _ = noisy_phantom(dims=(16, 16, 16))
+    sl = extract_slice(noisy, SliceRef("z", 8))
+    with pytest.raises(ValidationError, match="cannot segment a PlaneContext"):
+        ifcm(plane_context(sl), AttractionParams(), (np.ones((256, 2)) / 2, np.ones(2)))
+    with pytest.raises(ValidationError, match="cannot segment a ndarray"):
+        pso_ifcm(sl.plane(), 4)
+    for runner in (pso_ifcm, ga_ifcm):
+        with pytest.raises(ValidationError, match="not a single slice"):
+            runner(noisy, 4)
+
+
+@pytest.mark.parametrize("runner, minimiser, cfg", [
+    (pso_ifcm, "pso_minimize", PsoConfig(swarm_size=3, max_iter=2)),
+    (ga_ifcm, "ga_minimize", GaConfig(population=3, generations=2))], ids=["pso", "ga"])
+def test_search_runs_in_the_callers_box(monkeypatch, runner, minimiser, cfg):
+    # the minimiser gets the config the caller handed over, box and all; a
+    # box that leaves [0, 1]^2 fails at its first candidate
+    boxes = []
+    real = getattr(pipelines, minimiser)
+
+    def spy(func, opt_cfg, seed_points=()):
+        boxes.append(opt_cfg.bounds)
+        return real(func, opt_cfg, seed_points)
+
+    monkeypatch.setattr(pipelines, minimiser, spy)
+    noisy, _ = noisy_phantom(dims=(16, 16, 16))
+    sl = extract_slice(noisy, SliceRef("z", 8))
+    box = ((0.25, 0.75), (0.25, 0.75))
+    res = runner(sl, 2, CFG, None, replace(cfg, bounds=box))
+    assert boxes == [box]
+    assert 0.25 <= res.feature_weight <= 0.75 and 0.25 <= res.spatial_weight <= 0.75
+    with pytest.raises(ValidationError, match="feature_weight must be in"):
+        runner(sl, 2, CFG, None, replace(cfg, bounds=((1.5, 2.0), (0.0, 1.0))))
 
 
 def spearman(a, b):
@@ -373,7 +423,7 @@ def test_probe_cost_never_rises_with_either_weight(three_d):
     params = AttractionParams(depth=3, decay=1.5)
     ctx = (slice_context(noisy, ref, 3, 1.5) if three_d
            else plane_context(extract_slice(noisy, ref)))
-    start = _initial_state(ctx, 4, CFG)
+    start = gmm_fcm(extract_slice(noisy, ref), 4, CFG)
     propagate = _probe(ctx, start.membership, start.centers, CFG, params, 1)
     grid = np.linspace(0.0, 1.0, 11)
     for other in (0.0, 0.5, 1.0):
@@ -411,11 +461,11 @@ def test_tuned_segment_converges_from_the_winning_probe(monkeypatch, steps):
     monkeypatch.undo()
     # the same bits as probing the winner again and converging from there
     ctx = slice_context(noisy, ref, 3, 1.1)
-    start = _initial_state(ctx, 4, CFG)
+    start = gmm_fcm(extract_slice(noisy, ref), 4, CFG)
     weights = (res.feature_weight, res.spatial_weight)
     probed = _probe(ctx, start.membership, start.centers, CFG, AttractionParams(),
                     steps)(*weights)
-    again = ifcm(ctx, AttractionParams(*weights), probed[:2])
+    again = pso_ifcm_3d(noisy, ref, 4, 3, 1.1, fixed=weights, init=probed[:2])
     assert np.array_equal(res.membership, again.membership)
     assert np.array_equal(res.centers, again.centers)
     assert res.iterations == again.iterations
@@ -434,9 +484,9 @@ def test_minimiser_pick_is_taken_though_never_evaluated(monkeypatch):
     res = pso_ifcm_3d(noisy, ref, 2)
     assert (res.feature_weight, res.spatial_weight) == (0.5, 0.5)
     ctx = slice_context(noisy, ref, 3, 1.1)
-    start = _initial_state(ctx, 2, CFG)
+    start = gmm_fcm(extract_slice(noisy, ref), 2, CFG)
     probed = _probe(ctx, start.membership, start.centers, CFG, AttractionParams(), 1)(0.5, 0.5)
-    again = ifcm(ctx, AttractionParams(0.5, 0.5), probed[:2])
+    again = pso_ifcm_3d(noisy, ref, 2, 3, 1.1, fixed=(0.5, 0.5), init=probed[:2])
     assert np.array_equal(res.labels.labels, again.labels.labels)
     assert (res.stop_reason, res.iterations) == (again.stop_reason, again.iterations)
 
@@ -451,7 +501,7 @@ def test_probe_runs_ifcm_step_from_the_start(three_d):
     params = AttractionParams(0.6, 0.3, depth=3, decay=1.5)
     ctx = (slice_context(noisy, ref, 3, 1.5) if three_d
            else plane_context(extract_slice(noisy, ref)))
-    start = _initial_state(ctx, 4, CFG)
+    start = gmm_fcm(extract_slice(noisy, ref), 4, CFG)
     for steps in (1, 3):
         propagate = _probe(ctx, start.membership, start.centers, CFG, params, steps)
         propagate(0.2, 0.9)
