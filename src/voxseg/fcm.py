@@ -52,10 +52,10 @@ class FcmConfig:
     max_iterations: int = 150
 
     def __post_init__(self):
-        if not float(self.fuzziness) > 1.0:
-            raise ValidationError(f"fuzziness must exceed 1, got {self.fuzziness}")
-        if not float(self.tolerance) > 0.0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
+        if not 1.0 < float(self.fuzziness) < np.inf:
+            raise ValidationError(f"fuzziness must be finite and exceed 1, got {self.fuzziness}")
+        if not 0.0 < float(self.tolerance) < np.inf:
+            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
         if int(self.max_iterations) < 1:
             raise ValidationError("max_iterations must be at least 1")
 
@@ -68,10 +68,10 @@ class FcmResult(NamedTuple):
     stop_reason: str    # "converged", "cycle" or "cap", as :func:`settle` says
 
 
-def check_membership(u: np.ndarray, *, tol: float = 1e-9) -> None:
+def check_membership(u: np.ndarray) -> None:
     """Raise unless ``u`` is a valid membership matrix.
 
-    Rows must sum to 1 and entries lie in [0, 1] (within ``tol``); every
+    Rows must sum to 1 and entries lie in [0, 1] (within 1e-9); every
     column must hold some mass but not all of it.  The column upper bound
     is vacuous for a single cluster and is skipped there.
     """
@@ -79,9 +79,9 @@ def check_membership(u: np.ndarray, *, tol: float = 1e-9) -> None:
     if u.ndim != 2:
         raise ValidationError("membership matrix must be 2-D")
     n, c = u.shape
-    if np.any(u < -tol) or np.any(u > 1 + tol):
+    if np.any(u < -1e-9) or np.any(u > 1 + 1e-9):
         raise ValidationError("membership values must lie in [0, 1]")
-    if np.any(np.abs(u.sum(axis=1) - 1.0) > tol):
+    if np.any(np.abs(u.sum(axis=1) - 1.0) > 1e-9):
         raise ValidationError("membership rows must sum to 1")
     col = u.sum(axis=0)
     if np.any(col <= 0):

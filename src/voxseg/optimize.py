@@ -1,5 +1,9 @@
 """Derivative-free minimisers: particle swarm and a real-coded GA.
 
+A run chooses only the search box, the budget and the seed.  The swarm's
+inertia and pulls (``_OMEGA`` = ``_PHIP`` = ``_PHIG`` = 0.5), the GA's rates
+(``_CROSSOVER_RATE`` = 0.8, ``_MUTATION_RATE`` = ``_MUTATION_SIGMA`` = 0.1)
+and their shared stop threshold (``_MIN_IMPROVEMENT`` = 1e-8) are constants.
 Both are fully seeded and evaluate candidates in index order, with the
 global best resolved by lowest particle index on ties, so repeated runs
 with the same seed reproduce every trace value bit for bit.
@@ -20,12 +24,16 @@ from voxseg.errors import ValidationError
 
 Bounds = tuple[tuple[float, float], ...]
 
+_OMEGA = _PHIP = _PHIG = 0.5
+_CROSSOVER_RATE, _MUTATION_RATE, _MUTATION_SIGMA = 0.8, 0.1, 0.1
+_MIN_IMPROVEMENT = 1e-8
+
 
 def _check_bounds(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
     lo = np.array([b[0] for b in bounds], dtype=np.float64)
     hi = np.array([b[1] for b in bounds], dtype=np.float64)
-    if lo.size == 0 or np.any(hi <= lo):
-        raise ValidationError(f"bounds must be non-empty (low, high) pairs, got {bounds!r}")
+    if lo.size == 0 or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+        raise ValidationError(f"bounds must be non-empty finite (low, high) pairs, got {bounds!r}")
     return lo, hi
 
 
@@ -56,16 +64,12 @@ def _evaluate(func: Callable, points: np.ndarray, seen: dict) -> np.ndarray:
 
 @dataclass
 class PsoConfig:
-    """Swarm settings; the defaults suit a handful of dimensions."""
+    """Swarm box, budget and seed; the defaults suit a handful of dimensions,
+    and the inertia, pulls and stop threshold are the module's constants."""
 
     bounds: Bounds = ((0.0, 1.0), (0.0, 1.0))
     swarm_size: int = 50
-    omega: float = 0.5
-    phip: float = 0.5
-    phig: float = 0.5
     max_iter: int = 20
-    minstep: float = 1e-8
-    minfunc: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -74,9 +78,6 @@ class PsoConfig:
             raise ValidationError("swarm_size must be at least 2")
         if int(self.max_iter) < 1:
             raise ValidationError("max_iter must be at least 1")
-        for name in ("omega", "phip", "phig"):
-            if not np.isfinite(getattr(self, name)) or getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be finite and non-negative")
 
 
 class OptResult(NamedTuple):
@@ -94,10 +95,10 @@ def pso_minimize(func: Callable[[np.ndarray], float], cfg: PsoConfig,
     func : callable
         Maps a position vector to a scalar objective value.
     cfg : PsoConfig
-        Bounds, swarm size, inertia ``omega``, cognitive/social pulls
-        ``phip``/``phig``, iteration cap and the two stop thresholds:
-        an improvement of the global best smaller than ``minfunc`` or a
-        best-position step smaller than ``minstep`` ends the run.
+        Bounds, swarm size, iteration cap and seed.  The velocity update
+        takes inertia ``_OMEGA`` = 0.5 and cognitive/social pulls ``_PHIP``
+        = ``_PHIG`` = 0.5; an improvement of the global best, or a step of
+        its position, smaller than ``_MIN_IMPROVEMENT`` = 1e-8 ends the run.
     seed_points : sequence of positions, optional
         Candidates planted into the initial swarm (clipped to bounds).
 
@@ -127,7 +128,7 @@ def pso_minimize(func: Callable[[np.ndarray], float], cfg: PsoConfig,
     for _ in range(cfg.max_iter):
         rp = rng.random((size, dim))
         rg = rng.random((size, dim))
-        v = cfg.omega * v + cfg.phip * rp * (pbest - x) + cfg.phig * rg * (gbest - x)
+        v = _OMEGA * v + _PHIP * rp * (pbest - x) + _PHIG * rg * (gbest - x)
         x = np.clip(x + v, lo, hi)
         fx = _evaluate(func, x, seen)
         better = fx < pbest_val
@@ -140,7 +141,7 @@ def pso_minimize(func: Callable[[np.ndarray], float], cfg: PsoConfig,
             step = float(np.linalg.norm(pbest[leader] - gbest))
             gbest = pbest[leader].copy()
             gbest_val = float(pbest_val[leader])
-            stop = drop < cfg.minfunc or step < cfg.minstep
+            stop = drop < _MIN_IMPROVEMENT or step < _MIN_IMPROVEMENT
         trace.append(gbest_val)
         if stop:
             break
@@ -149,15 +150,11 @@ def pso_minimize(func: Callable[[np.ndarray], float], cfg: PsoConfig,
 
 @dataclass
 class GaConfig:
-    """Real-coded genetic algorithm settings."""
+    """Real-coded GA box, budget and seed; the rates are the module's constants."""
 
     bounds: Bounds = ((0.0, 1.0), (0.0, 1.0))
     population: int = 50
     generations: int = 20
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.1
-    mutation_sigma: float = 0.1  # as a fraction of each dimension's range
-    minfunc: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -166,25 +163,23 @@ class GaConfig:
             raise ValidationError("population must be at least 2")
         if int(self.generations) < 1:
             raise ValidationError("generations must be at least 1")
-        for name in ("crossover_rate", "mutation_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1]")
-        if self.mutation_sigma <= 0:
-            raise ValidationError("mutation_sigma must be positive")
 
 
 def ga_minimize(func: Callable[[np.ndarray], float], cfg: GaConfig,
                 seed_points: Sequence[Sequence[float]] = ()) -> OptResult:
     """Tournament selection, per-gene blend crossover, Gaussian mutation.
 
-    One elite survives each generation unchanged, so the best-value trace
-    never rises.  Stops after ``generations`` or once the best value has
-    improved by less than ``minfunc`` across the last five generations.
+    Parents cross with probability ``_CROSSOVER_RATE`` = 0.8, and each child
+    gene mutates with probability ``_MUTATION_RATE`` = 0.1, by a normal draw
+    of ``_MUTATION_SIGMA`` = 0.1 times its range.  One elite survives each
+    generation unchanged, so the best-value trace never rises.  Stops after
+    ``generations`` or once the best value has improved by less than
+    ``_MIN_IMPROVEMENT`` = 1e-8 across the last five generations.
     """
     size = int(cfg.population)
     lo, hi, rng, pop = _start(cfg.bounds, size, cfg.seed, seed_points)
     dim, seen = lo.size, {}
-    sigma = cfg.mutation_sigma * (hi - lo)
+    sigma = _MUTATION_SIGMA * (hi - lo)
 
     fit = _evaluate(func, pop, seen)
     elite_idx = int(np.argmin(fit))
@@ -200,7 +195,7 @@ def ga_minimize(func: Callable[[np.ndarray], float], cfg: GaConfig,
         offspring = [best.copy()]
         while len(offspring) < size:
             pa, pb = tournament(), tournament()
-            if rng.random() < cfg.crossover_rate:
+            if rng.random() < _CROSSOVER_RATE:
                 mix = rng.random(dim)
                 children = (mix * pa + (1 - mix) * pb, (1 - mix) * pa + mix * pb)
             else:
@@ -208,7 +203,7 @@ def ga_minimize(func: Callable[[np.ndarray], float], cfg: GaConfig,
             for child in children:
                 if len(offspring) >= size:
                     break
-                hit = rng.random(dim) < cfg.mutation_rate
+                hit = rng.random(dim) < _MUTATION_RATE
                 child = child + np.where(hit, rng.normal(0.0, sigma, dim), 0.0)
                 offspring.append(np.clip(child, lo, hi))
         pop = np.stack(offspring)
@@ -218,6 +213,6 @@ def ga_minimize(func: Callable[[np.ndarray], float], cfg: GaConfig,
             best = pop[elite_idx].copy()
             best_val = float(fit[elite_idx])
         trace.append(best_val)
-        if len(trace) > 5 and trace[-6] - trace[-1] < cfg.minfunc:
+        if len(trace) > 5 and trace[-6] - trace[-1] < _MIN_IMPROVEMENT:
             break
     return OptResult(best, best_val, np.array(trace))

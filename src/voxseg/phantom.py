@@ -37,6 +37,8 @@ class PhantomSpec:
         n = int(self.num_shells)
         if n < 2:
             raise ValidationError("need at least 2 shells")
+        if not 0.0 < float(self.intensity_max) < np.inf:
+            raise ValidationError(f"intensity_max {self.intensity_max} must be positive and finite")
         margin = int(self.margin) if self.margin is not None else min(dims) // 8
         if margin < 1:
             raise ValidationError(f"margin must be >= 1, got {margin}")

@@ -218,13 +218,15 @@ class SliceRef:
 
 
 def extract_slice(v: Volume | LabelVolume, ref: SliceRef):
-    """Single-plane copy of ``v``; the sliced axis keeps extent 1.
+    """Plane ``ref`` of ``v``, copied once; the sliced axis keeps extent 1.
 
     Output voxel (x, y, 0) equals input voxel (x, y, index) for z slices,
     and analogously for x and y.
     """
     dims, axis = ref.plane_dims(v.dims), AXES[ref.axis]
-    plane = getattr(v, v._FIELD).take([ref.index], axis=axis)
+    view = getattr(v, v._FIELD)[(slice(None),) * axis + (slice(ref.index, ref.index + 1),)]
+    # one copy, as bytes, which the grid keeps; a view would keep all of v alive
+    plane = np.frombuffer(view.tobytes(order="F"), view.dtype).reshape(dims, order="F")
     return replace(v, dims=dims, **{v._FIELD: plane})
 
 

@@ -72,6 +72,23 @@ def test_phantom_rejects_bad_dims(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, error", [
+    ("phantom", "--imax", "nan", "intensity_max nan must be positive and finite"),
+    ("phantom", "--imax", "inf", "intensity_max inf must be positive and finite"),
+    ("phantom", "--imax", "-5", "intensity_max -5.0 must be positive and finite"),
+    ("segment", "--m", "inf", "fuzziness must be finite"),
+    ("segment", "--eps", "inf", "tolerance must be positive and finite"),
+])
+def test_non_finite_setting_is_a_bad_input(assets, tmp_path, capsys, command, flag, value,
+                                            error):
+    out = tmp_path / "out.vxf"
+    argv = (["phantom", "--dims", "16,16,16", "--shells", "2"] if command == "phantom"
+            else ["segment", "--in", str(assets["noisy"]), "--algo", "fcm", "--c", "2"])
+    assert main([*argv, "--out", str(out), f"{flag}={value}", "--quiet"]) == 1
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_phantom_defaults_are_phantom_spec_defaults(monkeypatch):
     specs = []
 
@@ -484,8 +501,9 @@ TOO_MANY_CLUSTERS = "cluster count must be <= 256, got 257"
     (["sweep", "--param", "v", "--grid", "2.5", "--out"], "v counts shells"),
     (["bench", "--algorithms", "fcm", "--c", "257", "--report"], TOO_MANY_CLUSTERS),
     (["sweep", "--param", "h", "--grid", "1", "--c", "257", "--out"], TOO_MANY_CLUSTERS),
+    (["bench", "--algorithms", "fcm", "--m", "inf", "--report"], "fuzziness must be finite"),
 ], ids=["bench-slice", "sweep-slice", "bench-clusters", "sweep-fractional-v",
-        "bench-too-many-clusters", "sweep-too-many-clusters"])
+        "bench-too-many-clusters", "sweep-too-many-clusters", "bench-infinite-m"])
 def test_refused_setting_fails_before_any_cell(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.setattr(bench, "segment", lambda *args, **kwargs: pytest.fail("a cell ran"))
     out = tmp_path / "out.csv"
@@ -586,8 +604,8 @@ METHOD_SETTINGS = dict(
     clusters=3, fuzziness=2.5, tolerance=0.02, max_iterations=77, level=3, depth=2,
     decay=1.7, feature_weight=0.3, spatial_weight=0.6, swarm_size=7, pso_max_iter=3,
     population=9, generations=3, probe_steps=2)
-# the swarm's and the GA's constants, PsoConfig and GaConfig fields only:
-# each flag and the BenchConfig field it used to fill
+# the swarm's and the GA's constants, fixed in voxseg.optimize: each flag and
+# the BenchConfig field it used to fill
 OPTIMISER_CONSTANTS = [("--omega", "omega"), ("--phip", "phip"), ("--phig", "phig"),
                        ("--minstep", "minstep"), ("--minfunc", "minfunc"),
                        ("--crossover", "crossover_rate"), ("--mutation", "mutation_rate"),

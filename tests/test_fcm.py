@@ -366,10 +366,12 @@ def test_fcm_validation():
     for count in (1, 3, np.int64(2)):
         with pytest.raises(ValidationError):
             fcm(np.array([1.0, 2.0, 8.0, 9.0]), count, FcmConfig())
-    with pytest.raises(ValidationError):
-        FcmConfig(fuzziness=1.0)
-    with pytest.raises(ValidationError):
-        FcmConfig(tolerance=0.0)
+    for fuzziness in (1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            FcmConfig(fuzziness=fuzziness)
+    for tolerance in (0.0, np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            FcmConfig(tolerance=tolerance)
     with pytest.raises(ValidationError):
         FcmConfig(max_iterations=0)
 

@@ -73,8 +73,11 @@ def test_pso_config_validation():
         PsoConfig(swarm_size=1)
     with pytest.raises(ValidationError):
         PsoConfig(max_iter=0)
-    with pytest.raises(ValidationError):
-        PsoConfig(omega=-0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            PsoConfig(bounds=((0.0, bad), (0.0, 1.0)))
+        with pytest.raises(ValidationError):
+            PsoConfig(bounds=((-bad, 1.0),))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -126,9 +129,9 @@ def test_ga_config_validation():
     with pytest.raises(ValidationError):
         GaConfig(population=1)
     with pytest.raises(ValidationError):
-        GaConfig(crossover_rate=1.5)
+        GaConfig(generations=0)
     with pytest.raises(ValidationError):
-        GaConfig(mutation_sigma=0.0)
+        GaConfig(bounds=((0.0, 1.0), (np.nan, 1.0)))
 
 
 def unmemoised(func, points, seen):
@@ -172,3 +175,37 @@ def test_first_non_finite_value_is_reported(minimize, cfg):
 
     with pytest.raises(RuntimeError, match=r"non-finite value at \[0\.9, 0\.1\]"):
         minimize(objective, cfg, seed_points=[(0.0, 0.0), (0.9, 0.1)])
+
+
+def bowl(p):
+    a, b = p[0] - 0.3, p[1] + 1.2
+    return float(a * a + 2.0 * b * b + 0.5 * a * b)
+
+
+# each minimiser's exact answer on a tilted bowl: a change to its inertia,
+# pulls, rates or stop threshold moves these bits (both runs stop early, the
+# swarm on an improvement below 1e-8 and the GA on five flat generations)
+PINNED = {
+    "pso": (pso_minimize, PsoConfig(bounds=BOX, swarm_size=8, max_iter=60, seed=0),
+            [0.2936708450450713, -1.2028094911794778],
+            [2.9840439950057243, 2.9840439950057243, 2.9840439950057243,
+             2.9840439950057243, 2.007357151101554, 1.6847869578006447,
+             0.480555841145319, 0.06791605424556764, 0.016717022174132172,
+             0.016717022174132172, 0.007868788601000903, 0.00639625380988392,
+             0.004805813884322973, 0.0014301825400343203, 0.00042045207982103735,
+             0.00010718051996040913, 6.473977517054705e-05, 6.473977517054705e-05,
+             6.473977517054705e-05, 6.473553632833604e-05]),
+    "ga": (ga_minimize, GaConfig(bounds=BOX, population=8, generations=60, seed=0),
+           [0.10057835019724884, -1.1841246998387058],
+           [2.9840439950057243, 2.9840439950057243, 0.4888533342470825,
+            0.2892685254362488, *[0.07336709694535072] * 4, *[0.03869010544583391] * 6]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_minimiser_output_is_pinned(name):
+    minimize, cfg, position, trace = PINNED[name]
+    res = minimize(bowl, cfg)
+    assert res.position.tolist() == position
+    assert res.trace.tolist() == trace
+    assert res.value == trace[-1]

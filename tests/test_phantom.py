@@ -75,6 +75,9 @@ def test_validation():
     with pytest.raises(ValidationError):  # wrong count
         generate_phantom(PhantomSpec(dims=(16, 16, 16), num_shells=3,
                                      intensities=(10.0, 20.0)))
+    for imax in (np.nan, np.inf, -5.0, 0.0):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            PhantomSpec(dims=(16, 16, 16), num_shells=2, intensity_max=imax)
 
 
 def test_anisotropic_dims():

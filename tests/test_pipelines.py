@@ -1,8 +1,10 @@
 """End-to-end segmentation pipelines on generated volumes."""
 
 import inspect
+import re
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,3 +532,13 @@ def test_geometry_defaults_are_attraction_params():
     assert checked == [("PlaneContext", "level"), ("SliceContext", "depth"),
                        ("SliceContext", "decay"), ("pso_ifcm_3d", "depth"),
                        ("pso_ifcm_3d", "decay")]
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    incs, feature_weight, spatial_weight = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= incs <= 1.0
+    assert 0.0 <= feature_weight <= 1.0 and 0.0 <= spatial_weight <= 1.0

@@ -241,6 +241,31 @@ def test_save_volume_holds_one_payload(tmp_path, kind):
     assert peak < 1.5 * data.nbytes
 
 
+@pytest.mark.parametrize("from_file", [False, True])
+@pytest.mark.parametrize("kind", GRIDS)
+def test_extract_slice_holds_one_copy_of_the_plane(tmp_path, kind, from_file):
+    # one copy of the plane, also from a grid read from a file, and none of
+    # the source's memory kept alive
+    make, field, dtype, _, load = GRIDS[kind]
+    dims = (160, 176, 144)
+    values = np.random.default_rng(8).integers(0, 100, dims, dtype=np.uint8).astype(dtype)
+    grid = make(dims, values)
+    if from_file:
+        save_volume(grid, tmp_path / "x.vxf")
+        grid = load(tmp_path / "x.vxf")
+    for axis, index in (("x", 40), ("y", 100), ("z", 7)):
+        tracemalloc.start()
+        try:
+            plane = getattr(extract_slice(grid, SliceRef(axis, index)), field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(plane, values.take([index], axis="xyz".index(axis)))
+        assert not plane.flags.writeable
+        assert not np.may_share_memory(plane, getattr(grid, field))
+        assert peak <= 1.1 * plane.nbytes
+
+
 def test_slice_ref_parse():
     ref = SliceRef.parse("z:60")
     assert (ref.axis, ref.index) == ("z", 60)
